@@ -31,7 +31,6 @@ from .errors import (
 )
 from .hypergraph import (
     Graph,
-    Hypergraph,
     as_hypergraph,
     body_graph,
     is_k_vertex_connected,
@@ -68,10 +67,6 @@ def _need_graph(structure, what: str) -> Graph:
     return structure
 
 
-def _need_hypergraph(structure) -> Hypergraph:
-    return as_hypergraph(structure)
-
-
 def _finish_report(args, report: dict, started: float) -> None:
     report["timings"] = {"elapsed_seconds": time.perf_counter() - started}
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -86,7 +81,7 @@ def _pick_seed(args) -> int:
 def cmd_transform(args) -> int:
     structure = _load_structure(args.input)
     if args.op == "body":
-        result = body_graph(_need_hypergraph(structure))
+        result = body_graph(as_hypergraph(structure))
     elif args.op == "neighborhood":
         result = neighborhood_hypergraph(_need_graph(structure, "neighborhood"))
     elif args.op == "square":
@@ -94,7 +89,7 @@ def cmd_transform(args) -> int:
     else:
         if args.k is None:
             raise InvalidInputError("truncate needs --k")
-        result = truncate_hyperedges(_need_hypergraph(structure), args.k)
+        result = truncate_hyperedges(as_hypergraph(structure), args.k)
     formats.write_document(formats.document_from_structure(result), args.output)
     if isinstance(result, Graph):
         _say(args, f"{args.op}: {result.vertex_count} vertices, "
@@ -121,7 +116,7 @@ def cmd_test(args) -> int:
         seed = _pick_seed(args)
         parameters.update(trials=args.trials, seed=seed, prime=args.prime)
         result = rigidity.generic_affine_rigidity_test(
-            _need_hypergraph(structure),
+            as_hypergraph(structure),
             args.dim,
             trials=args.trials,
             seed=seed,
@@ -140,7 +135,7 @@ def cmd_test(args) -> int:
         parameters.update(tol=args.tol, framework=args.framework)
         framework = Framework(structure, coords)
         result = rigidity.affine_rigidity_test(framework, rel_tol=args.tol)
-        affinity = rigidity.strong_affinity_matrix(framework)
+        affinity = rigidity.strong_affinity_matrix(framework, rel_tol=args.tol)
         residuals = rigidity.affinity_residuals(affinity, framework)
     else:
         seed = _pick_seed(args)
@@ -182,7 +177,7 @@ def cmd_connectivity(args) -> int:
 
 def cmd_zz(args) -> int:
     started = time.perf_counter()
-    theta = _need_hypergraph(_load_structure(args.input))
+    theta = as_hypergraph(_load_structure(args.input))
     holds = zha_zhang_condition(theta, args.dim)
     report = formats.report_document(
         "zz",

@@ -87,11 +87,16 @@ class KernelBasis:
         vector of norm at most ``threshold_used`` times the matrix norm.
     threshold_used : float
         The relative singular-value cutoff that was applied.
+    singular_values : ndarray, shape (min(rows, cols),)
+        The source matrix's singular values in descending order, from the
+        same SVD that produced the basis, so callers can report the margins
+        of the rank decision without factoring the matrix again.
     """
 
     dimension: int
     basis: np.ndarray
     threshold_used: float
+    singular_values: np.ndarray
 
 
 def numerical_kernel(m, rel_tol: float = DEFAULT_REL_TOL) -> KernelBasis:
@@ -114,15 +119,17 @@ def numerical_kernel(m, rel_tol: float = DEFAULT_REL_TOL) -> KernelBasis:
     if not 0 < rel_tol < 1:
         raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     a = _as_real_matrix(m)
-    cols = a.shape[1]
-    if a.shape[0] == 0 or cols == 0:
-        return KernelBasis(cols, np.eye(cols), rel_tol)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    sigma_max = float(s[0]) if s.size else 0.0
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return KernelBasis(cols, np.eye(cols), rel_tol, np.zeros(0))
+    # A wide matrix needs the full V for its kernel; for a tall or square one
+    # the thin SVD already yields all of V, and the full U would be rows×rows.
+    _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
+    sigma_max = float(s[0])
     if sigma_max == 0.0:
-        return KernelBasis(cols, np.eye(cols), rel_tol)
+        return KernelBasis(cols, np.eye(cols), rel_tol, s)
     rank = int(np.count_nonzero(s > rel_tol * sigma_max))
-    return KernelBasis(cols - rank, np.ascontiguousarray(vt[rank:].T), rel_tol)
+    return KernelBasis(cols - rank, np.ascontiguousarray(vt[rank:].T), rel_tol, s)
 
 
 def numerical_rank(m, rel_tol: float = DEFAULT_REL_TOL) -> int:

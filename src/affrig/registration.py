@@ -3,7 +3,8 @@
 Each scan reports its hyperedge's geometry in a private chart that is off by
 an unknown affine (or Euclidean) transform. Affine relations are invariant
 under invertible chart transforms, so the strong affinity matrix of the
-unknown global configuration can be assembled directly from the charts; its
+unknown global configuration can be assembled directly from the charts, by
+the same builder that ``rigidity`` applies to a framework's coordinates; its
 kernel recovers the configuration up to one global affine map. When the
 charts' internal distances are trusted, a least-squares fit of a Gram matrix
 on the measured squared lengths upgrades the result to a Euclidean one.
@@ -28,9 +29,9 @@ from .errors import (
 from .hypergraph import Graph, Hypergraph, as_hypergraph
 from .numkernel import DEFAULT_REL_TOL
 from .rigidity import (
-    AffinityMatrix,
     Framework,
     conic_at_infinity_test,
+    _affinity_from_blocks,
     _direction_monomials,
 )
 
@@ -165,23 +166,6 @@ def best_fit_euclidean(
     return rotation, shift, error
 
 
-def _assembled_affinity(scan_set: ScanSet, rel_tol: float) -> AffinityMatrix:
-    """Affinity rows computed scan-by-scan in local charts."""
-    v = scan_set.vertex_count
-    rows: list[np.ndarray] = []
-    provenance: list[int] = []
-    for index, scan in enumerate(scan_set.scans):
-        lift = np.vstack([np.ones(len(scan.members)), scan.coordinates.T])
-        kernel = numkernel.numerical_kernel(lift, rel_tol)
-        for col in range(kernel.dimension):
-            row = np.zeros(v)
-            row[list(scan.members)] = kernel.basis[:, col]
-            rows.append(row)
-            provenance.append(index)
-    matrix = np.array(rows) if rows else np.zeros((0, v))
-    return AffinityMatrix(matrix, tuple(provenance), strong=True)
-
-
 def _configuration_from_kernel(basis: np.ndarray, d: int) -> np.ndarray:
     """Deterministic gauge fix: drop the ones direction, SVD, fix signs."""
     v = basis.shape[0]
@@ -228,7 +212,9 @@ def affine_register(scan_set: ScanSet, rel_tol: float = DEFAULT_REL_TOL) -> Regi
         raise InvalidInputError(f"vertices {sorted(missing)} appear in no scan")
     if v < d + 1:
         raise InvalidInputError(f"need at least d+1 = {d + 1} vertices, got {v}")
-    affinity = _assembled_affinity(scan_set, rel_tol)
+    affinity = _affinity_from_blocks(
+        v, ((scan.members, scan.coordinates) for scan in scan_set.scans), rel_tol
+    )
     kernel = numkernel.numerical_kernel(affinity.matrix, rel_tol)
     corank = kernel.dimension
     if corank > d + 1:
@@ -239,7 +225,7 @@ def affine_register(scan_set: ScanSet, rel_tol: float = DEFAULT_REL_TOL) -> Regi
             f"exceeds rel_tol {rel_tol:g}"
         )
     config = _configuration_from_kernel(kernel.basis, d)
-    singulars = np.linalg.svd(affinity.matrix, compute_uv=False)
+    singulars = kernel.singular_values
     rank = v - corank
     diagnostics = {
         "corank": corank,

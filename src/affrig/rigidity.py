@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .hypergraph import (
     Hypergraph,
     as_hypergraph,
     body_graph,
-    is_k_vertex_connected,
     neighborhood_hypergraph,
     squared_graph,
 )
@@ -144,6 +144,29 @@ def _lift(coords: np.ndarray) -> np.ndarray:
     return np.vstack([np.ones(coords.shape[0]), coords.T])
 
 
+def _affinity_from_blocks(
+    vertex_count: int,
+    blocks: Iterable[tuple[Sequence[int], np.ndarray]],
+    rel_tol: float,
+) -> AffinityMatrix:
+    """Affinity rows of (members, chart) blocks, scattered into v columns.
+
+    ``chart[k]`` is the point of ``members[k]`` in any affine chart of the
+    block, since affine relations do not depend on the chart. Row provenance
+    is the block index.
+    """
+    pieces: list[np.ndarray] = []
+    provenance: list[int] = []
+    for index, (members, chart) in enumerate(blocks):
+        kernel = numkernel.numerical_kernel(_lift(chart), rel_tol)
+        block = np.zeros((kernel.dimension, vertex_count))
+        block[:, list(members)] = kernel.basis.T
+        pieces.append(block)
+        provenance.extend([index] * kernel.dimension)
+    matrix = np.vstack(pieces) if pieces else np.zeros((0, vertex_count))
+    return AffinityMatrix(matrix, tuple(provenance), strong=True)
+
+
 def strong_affinity_matrix(
     framework: Framework, rel_tol: float = DEFAULT_REL_TOL
 ) -> AffinityMatrix:
@@ -160,20 +183,11 @@ def strong_affinity_matrix(
         raise UnsupportedInstanceError(
             f"need at least d+1 = {d + 1} vertices, got {v}"
         )
-    rows: list[np.ndarray] = []
-    provenance: list[int] = []
-    for index, h in enumerate(theta.hyperedges):
-        members = sorted(h)
-        kernel = numkernel.numerical_kernel(
-            _lift(framework.coordinates[members]), rel_tol
-        )
-        for col in range(kernel.dimension):
-            row = np.zeros(v)
-            row[members] = kernel.basis[:, col]
-            rows.append(row)
-            provenance.append(index)
-    matrix = np.array(rows) if rows else np.zeros((0, v))
-    return AffinityMatrix(matrix, tuple(provenance), strong=True)
+    blocks = [
+        (members, framework.coordinates[members])
+        for members in map(sorted, theta.hyperedges)
+    ]
+    return _affinity_from_blocks(v, blocks, rel_tol)
 
 
 def affinity_corank(
@@ -388,6 +402,12 @@ def rubber_band_embedding(
     configuration is nudged by ``jitter`` times its diameter, rejecting
     nudges that push some non-exceptional vertex out of the relative interior
     of its neighbors' convex hull. ``jitter=0`` returns the exact relaxation.
+
+    Connectivity is not checked beyond reachability: a vertex with no path
+    to the pinned set raises ``DegenerateInstanceError``. The paper's
+    hypothesis that Γ is (d+1)-connected, under which the relaxed points are
+    in general position, is left to the caller, who can test it with
+    ``hypergraph.is_k_vertex_connected(gamma, d + 1)``.
     """
     if d < 1:
         raise InvalidInputError("dimension must be positive")
@@ -409,11 +429,6 @@ def rubber_band_embedding(
         for u in pinned:
             if not 0 <= u < v:
                 raise InvalidInputError(f"exceptional vertex {u} out of range")
-    if not is_k_vertex_connected(gamma, d + 1):
-        logger.warning(
-            "graph is not %d-connected; rubber-band output may be degenerate",
-            d + 1,
-        )
     rng = np.random.default_rng(seed)
     pins = _perturbed_simplex(d, rng)
 
@@ -566,18 +581,20 @@ def neighborhood_affine_rigidity_test(
     """Affine rigidity of (p, N(Γ)): stress shortcut first, rank test second.
 
     Stage 1 draws one random non-symmetric stress; corank d+1 certifies
-    rigidity immediately. Otherwise stage 2 stacks d+2 independent stresses
-    with the strong affinity matrix of the neighborhood hypergraph, whose
-    corank settles the verdict either way.
+    rigidity immediately. Otherwise stage 2 computes the corank of the
+    strong affinity matrix of the neighborhood hypergraph, which settles the
+    verdict either way. Every row of a non-symmetric stress is an affine
+    relation among one closed neighborhood, so it already lies in that
+    matrix's row space: stacking further stresses onto it leaves the corank
+    unchanged, and none are drawn.
     """
     gamma = framework.structure
     if not isinstance(gamma, Graph):
         raise InvalidInputError("neighborhood rigidity is defined on graphs")
     _require_proper(framework, rel_tol)
     v, d = framework.vertex_count, framework.dim
-    rng = np.random.default_rng(seed)
 
-    stage1 = nonsymmetric_stress(framework, rng, rel_tol)
+    stage1 = nonsymmetric_stress(framework, seed, rel_tol)
     corank1 = stress_corank(stage1, rel_tol)
     if corank1 == d + 1:
         certificate = (
@@ -585,18 +602,9 @@ def neighborhood_affine_rigidity_test(
         )
         return RigidityVerdict(RIGID, corank1, certificate, one_sided=False)
 
-    stacked = [nonsymmetric_stress(framework, rng, rel_tol).matrix for _ in range(d + 2)]
     neighborhood = Framework(neighborhood_hypergraph(gamma), framework.coordinates)
     affinity = strong_affinity_matrix(neighborhood, rel_tol)
-    combined = np.vstack(stacked + [affinity.matrix])
     corank = affinity_corank(affinity, rel_tol)
-    combined_corank = v - numkernel.numerical_rank(combined, rel_tol)
-    if combined_corank != corank:
-        logger.warning(
-            "stacked stresses disagree with affinity corank (%d vs %d)",
-            combined_corank,
-            corank,
-        )
     assert corank >= d + 1
     verdict = RIGID if corank == d + 1 else FLEXIBLE
     certificate = (

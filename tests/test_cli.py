@@ -21,10 +21,12 @@ from affrig.families import (
 )
 from affrig.hypergraph import (
     Graph,
+    Hypergraph,
     is_k_vertex_connected,
     neighborhood_hypergraph,
 )
 from affrig.registration import best_fit_euclidean, synthetic_scan_set
+from affrig.rigidity import Framework, affinity_residuals, strong_affinity_matrix
 
 
 def write_structure(tmp_path, name, structure):
@@ -138,6 +140,26 @@ class TestTest:
         doc = stripped_report(report)
         assert doc["corank"] == 6
         assert doc["residuals"]["kernel_residual"] <= 1e-9
+
+    def test_framework_residuals_use_the_given_tolerance(self, tmp_path):
+        # Points 0, 1, 2 are collinear up to 1e-5: a relation at --tol 1e-3,
+        # none at the default cutoff.
+        theta = Hypergraph.from_hyperedges(5, [(0, 1, 2), (0, 1, 3, 4)])
+        coords = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 1e-5], [0.0, 1.0], [1.0, 1.3]]
+        )
+        framework = Framework(theta, coords)
+        loose = strong_affinity_matrix(framework, rel_tol=1e-3)
+        default = strong_affinity_matrix(framework)
+        assert loose.matrix.shape[0] != default.matrix.shape[0]
+        src = write_structure(tmp_path, "theta.json", theta)
+        fw = str(tmp_path / "coords.json")
+        formats.write_document(formats.document_from_coordinates(coords), fw)
+        report = str(tmp_path / "report.json")
+        main(["test", src, "--dim", "2", "--mode", "framework", "--framework",
+              fw, "--tol", "1e-3", "--report", report, "--quiet"])
+        doc = stripped_report(report)
+        assert doc["residuals"] == affinity_residuals(loose, framework)
 
     def test_framework_dimension_mismatch(self, tmp_path):
         theta = fig1_hypergraph()

@@ -113,6 +113,31 @@ class TestNumericalKernel:
         assert k.dimension == 0
         assert k.basis.shape == (3, 0)
 
+    def test_tall_input_skips_full_u(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(2000, 2)) @ rng.normal(size=(2, 3))
+        _, oracle_s, oracle_vt = np.linalg.svd(a, full_matrices=True)
+        svd = np.linalg.svd
+        requested = []
+
+        def spy(matrix, *args, **kwargs):
+            requested.append(kwargs.get("full_matrices", args[0] if args else True))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        k = numerical_kernel(a)
+        square = numerical_kernel(np.eye(3))
+        assert requested == [False, False]
+        assert square.dimension == 0
+        assert k.dimension == 1
+        np.testing.assert_allclose(
+            k.singular_values, oracle_s, rtol=0, atol=1e-12 * oracle_s[0]
+        )
+        oracle_kernel = oracle_vt[2:].T
+        np.testing.assert_allclose(
+            k.basis @ k.basis.T, oracle_kernel @ oracle_kernel.T, atol=1e-10
+        )
+
 
 class TestPrimality:
     def test_known_values(self):

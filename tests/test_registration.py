@@ -30,7 +30,14 @@ from affrig.registration import (
     remove_affine,
     synthetic_scan_set,
 )
-from affrig.rigidity import Framework, generic_affine_rigidity_test
+from affrig.numkernel import DEFAULT_REL_TOL
+from affrig.rigidity import (
+    Framework,
+    _affinity_from_blocks,
+    affinity_corank,
+    generic_affine_rigidity_test,
+    strong_affinity_matrix,
+)
 
 
 def distance_matrix(points):
@@ -40,6 +47,12 @@ def distance_matrix(points):
 
 def diameter(points):
     return distance_matrix(points).max()
+
+
+def chart_affinity(scans, rel_tol=DEFAULT_REL_TOL):
+    """The affinity matrix built from the scans' own charts."""
+    blocks = ((scan.members, scan.coordinates) for scan in scans.scans)
+    return _affinity_from_blocks(scans.vertex_count, blocks, rel_tol)
 
 
 def rigid_scan_source(seed, vertex_count=7):
@@ -236,6 +249,45 @@ class TestAffineRegister:
         assert diag["rank_margin"] > 1e-6
         assert len(diag["scan_residuals"]) == 35
         assert max(diag["scan_residuals"]) <= 1e-8
+
+    def test_margins_match_singular_value_oracle(self):
+        # Both margins are ratios to sigma_max, so the tolerance is 1e-10 of
+        # sigma_max; kernel_gap of the clean scans sits at rounding level.
+        for noise, tol in ((0.0, DEFAULT_REL_TOL), (1e-5, 1e-3)):
+            framework = rigid_scan_source(seed=83)
+            scans = synthetic_scan_set(framework, seed=84, noise=noise)
+            diag = affine_register(scans, rel_tol=tol).diagnostics
+            s = np.linalg.svd(chart_affinity(scans, tol).matrix, compute_uv=False)
+            rank = scans.vertex_count - diag["corank"]
+            assert diag["rank_margin"] == pytest.approx(
+                s[rank - 1] / s[0], rel=1e-10, abs=1e-10
+            )
+            assert diag["kernel_gap"] == pytest.approx(
+                s[rank] / s[0], rel=1e-10, abs=1e-10
+            )
+
+
+class TestSharedAffinityBuilder:
+    def test_charts_and_framework_give_the_same_matrix(self):
+        structures = [
+            complete_k_hypergraph(7, 4),
+            neighborhood_hypergraph(hexagonal_torus(3, 3)),
+            pentagon_hypergraph(),
+        ]
+        for index, theta in enumerate(structures):
+            framework = generic_framework(theta, 2, seed=300 + index)
+            scans = synthetic_scan_set(framework, trust="affine", seed=400 + index)
+            from_framework = strong_affinity_matrix(framework)
+            from_charts = chart_affinity(scans)
+            assert from_charts.row_provenance == from_framework.row_provenance
+            assert affinity_corank(from_charts) == affinity_corank(from_framework)
+            provenance = np.array(from_framework.row_provenance)
+            for block in range(len(theta.hyperedges)):
+                # Rows of one block are orthonormal, so R.T @ R projects onto
+                # that block's relation space.
+                a = from_framework.matrix[provenance == block]
+                b = from_charts.matrix[provenance == block]
+                np.testing.assert_allclose(a.T @ a, b.T @ b, atol=1e-9)
 
 
 class TestRemoveAffine:
