@@ -20,14 +20,11 @@ from datetime import datetime, timezone
 from . import families, formats, registration, rigidity
 from .errors import (
     AffrigError,
-    DegenerateInstanceError,
-    ImproperFrameworkError,
     InconsistentLengthsError,
     InconsistentScansError,
     InvalidInputError,
     NonUniqueTransformError,
     NotAffinelyRigidError,
-    UnsupportedInstanceError,
 )
 from .hypergraph import (
     Graph,
@@ -47,6 +44,28 @@ EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INCONSISTENT = 5
+
+# The first row whose types match an error gives its exit code. Python's own
+# RecursionError and MemoryError mean the input is too large for this run;
+# they end as a usage error with a message, never as a traceback.
+_EXIT_CODES = (
+    (NotAffinelyRigidError, EXIT_NEGATIVE),
+    (
+        (InconsistentScansError, NonUniqueTransformError, InconsistentLengthsError),
+        EXIT_INCONSISTENT,
+    ),
+    (
+        (AffrigError, OSError, ValueError, RecursionError, MemoryError),
+        EXIT_USAGE,
+    ),
+)
+
+
+def _exit_code(error: Exception) -> int | None:
+    """Exit code for ``error`` from the first matching table row, else None."""
+    return next(
+        (code for types, code in _EXIT_CODES if isinstance(error, types)), None
+    )
 
 
 def _say(args, message: str) -> None:
@@ -190,6 +209,13 @@ def cmd_zz(args) -> int:
     return EXIT_OK if holds else EXIT_NEGATIVE
 
 
+# Registration failures that still end in a report: verdict and summary.
+_REGISTER_FAILURES = {
+    EXIT_NEGATIVE: ("not-affinely-rigid", "not affinely rigid"),
+    EXIT_INCONSISTENT: ("inconsistent", "inconsistent data"),
+}
+
+
 def cmd_register(args) -> int:
     started = time.perf_counter()
     scan_set = formats.scan_set_from_document(formats.load_document(args.input))
@@ -199,31 +225,22 @@ def cmd_register(args) -> int:
             result = registration.affine_register(scan_set, rel_tol=args.tol)
         else:
             result = registration.euclidean_register(scan_set, rel_tol=args.tol)
-    except NotAffinelyRigidError as error:
+    except AffrigError as error:
+        code = _exit_code(error)
+        if code not in _REGISTER_FAILURES:
+            raise
+        verdict, summary = _REGISTER_FAILURES[code]
+        fields = {"corank": error.corank} if code == EXIT_NEGATIVE else {}
         report = formats.report_document(
             "register",
             parameters=parameters,
-            verdict="not-affinely-rigid",
-            corank=error.corank,
+            verdict=verdict,
             error=str(error),
+            **fields,
         )
         _finish_report(args, report, started)
-        _say(args, f"not affinely rigid: {error}")
-        return EXIT_NEGATIVE
-    except (
-        InconsistentScansError,
-        NonUniqueTransformError,
-        InconsistentLengthsError,
-    ) as error:
-        report = formats.report_document(
-            "register",
-            parameters=parameters,
-            verdict="inconsistent",
-            error=str(error),
-        )
-        _finish_report(args, report, started)
-        _say(args, f"inconsistent data: {error}")
-        return EXIT_INCONSISTENT
+        _say(args, f"{summary}: {error}")
+        return code
     formats.write_document(
         formats.document_from_coordinates(result.config), args.output
     )
@@ -391,32 +408,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except formats.FormatError as error:
-        print(f"affrig: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        InvalidInputError,
-        ImproperFrameworkError,
-        UnsupportedInstanceError,
-        DegenerateInstanceError,
-        OSError,
-        ValueError,
-    ) as error:
-        print(f"affrig: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotAffinelyRigidError as error:
-        print(f"affrig: {error}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (
-        InconsistentScansError,
-        NonUniqueTransformError,
-        InconsistentLengthsError,
-    ) as error:
-        print(f"affrig: {error}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except AffrigError as error:
-        print(f"affrig: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as error:
+        code = _exit_code(error)
+        if code is None:
+            raise
+        message = str(error)
+        if isinstance(error, (RecursionError, MemoryError)):
+            message = f"input too large ({type(error).__name__}: {error})"
+        print(f"affrig: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -186,80 +186,68 @@ def truncate_hyperedges(theta: Hypergraph, k: int) -> Hypergraph:
     return Hypergraph(theta.vertex_count, tuple(kept))
 
 
-class _Dinic:
-    """Unit-capacity max-flow, enough for vertex-disjoint path counting."""
+def _split_network(gamma: Graph) -> tuple[list[list[int]], list[int]]:
+    """Unit-capacity vertex-split network of ``gamma``.
 
-    def __init__(self, node_count: int):
-        self.n = node_count
-        self.head: list[list[int]] = [[] for _ in range(node_count)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, w: int, cap: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(w)
-        self.cap.append(cap)
-        self.head[w].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        while flow < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for eid in self.head[u]:
-                    w = self.to[eid]
-                    if self.cap[eid] > 0 and level[w] < 0:
-                        level[w] = level[u] + 1
-                        queue.append(w)
-            if level[t] < 0:
-                break
-            it = [0] * self.n
-
-            def augment(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    eid = self.head[u][it[u]]
-                    w = self.to[eid]
-                    if self.cap[eid] > 0 and level[w] == level[u] + 1:
-                        got = augment(w, min(pushed, self.cap[eid]))
-                        if got > 0:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while flow < limit:
-                pushed = augment(s, limit - flow)
-                if pushed == 0:
-                    break
-                flow += pushed
-        return flow
-
-
-def _vertex_capacity_flow(gamma: Graph, s: int, t: int, limit: int) -> int:
-    # Split each vertex x into x_in = 2x and x_out = 2x+1 with a unit arc.
-    dinic = _Dinic(2 * gamma.vertex_count)
-    for x in range(gamma.vertex_count):
-        dinic.add_arc(2 * x, 2 * x + 1, 1)
+    Vertex x becomes x_in = 2x and x_out = 2x+1 joined by an arc; each edge
+    {u, w} gives arcs u_out -> w_in and w_out -> u_in. Returns the arcs
+    leaving each node and the target of each arc. Arc ``a`` is forward for
+    even ``a`` and its reverse (capacity 0 in the template) is ``a ^ 1``.
+    """
+    arcs = [(2 * x, 2 * x + 1) for x in range(gamma.vertex_count)]
     for u, w in gamma.edges:
-        dinic.add_arc(2 * u + 1, 2 * w, 1)
-        dinic.add_arc(2 * w + 1, 2 * u, 1)
-    return dinic.max_flow(2 * s + 1, 2 * t, limit)
+        arcs += [(2 * u + 1, 2 * w), (2 * w + 1, 2 * u)]
+    head: list[list[int]] = [[] for _ in range(2 * gamma.vertex_count)]
+    target: list[int] = []
+    for u, w in arcs:
+        head[u].append(len(target))
+        target.append(w)
+        head[w].append(len(target))
+        target.append(u)
+    return head, target
+
+
+def _has_disjoint_paths(
+    head: list[list[int]], target: list[int], s: int, t: int, k: int
+) -> bool:
+    """Whether k internally vertex-disjoint s-t paths exist (s, t non-adjacent)."""
+    cap = [1, 0] * (len(target) // 2)
+    source, sink = 2 * s + 1, 2 * t
+    for _ in range(k):
+        parent = [-1] * len(head)  # arc that reached each node; -1: unreached
+        parent[source] = len(target)  # reached, by no arc
+        queue = deque([source])
+        while queue and parent[sink] < 0:
+            u = queue.popleft()
+            for a in head[u]:
+                w = target[a]
+                if cap[a] and parent[w] < 0:
+                    parent[w] = a
+                    if w == sink:
+                        break
+                    queue.append(w)
+        if parent[sink] < 0:
+            return False
+        w = sink
+        while w != source:
+            a = parent[w]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            w = target[a ^ 1]
+    return True
 
 
 def is_k_vertex_connected(gamma: Graph, k: int) -> bool:
-    """Exact k-vertex-connectivity via Menger max-flow on the split network.
+    """Exact k-vertex-connectivity by Menger's theorem on the split network.
 
     True iff the graph has more than k vertices and no vertex cut of size
     below k; complete graphs count as k-connected for all k < n. Graphs with
     at most k vertices are reported not k-connected (the standard convention).
+
+    The vertex-split network is built once per call. Each checked pair of
+    non-adjacent vertices resets its unit capacities and runs at most k
+    breadth-first augmenting-path searches (Even, SIAM J. Comput. 1975), so
+    the cost is O(k * |E|) per pair and there is no recursion.
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
@@ -272,6 +260,7 @@ def is_k_vertex_connected(gamma: Graph, k: int) -> bool:
         # neighborhood; with n > k no vertex can be adjacent to all others
         # while having degree < k.
         return False
+    head, target = _split_network(gamma)
     # Any minimum cut either avoids the pivot (then it separates the pivot
     # from some non-neighbor) or contains it (then it separates two
     # non-adjacent neighbors of the pivot).
@@ -280,12 +269,12 @@ def is_k_vertex_connected(gamma: Graph, k: int) -> bool:
     for w in range(n):
         if w == pivot or gamma.has_edge(pivot, w):
             continue
-        if _vertex_capacity_flow(gamma, pivot, w, k) < k:
+        if not _has_disjoint_paths(head, target, pivot, w, k):
             return False
     for x, y in itertools.combinations(pivot_nbrs, 2):
         if gamma.has_edge(x, y):
             continue
-        if _vertex_capacity_flow(gamma, x, y, k) < k:
+        if not _has_disjoint_paths(head, target, x, y, k):
             return False
     return True
 

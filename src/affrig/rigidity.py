@@ -480,9 +480,8 @@ def rubber_band_embedding(
         return Framework(gamma, coords)
 
     diameter = max(
-        float(np.linalg.norm(coords[a] - coords[b]))
-        for a in range(v)
-        for b in range(a + 1, v)
+        float(np.linalg.norm(coords[a + 1:] - coords[a], axis=1).max())
+        for a in range(v - 1)
     )
     for attempt in range(10):
         nudged = coords + jitter * diameter * rng.standard_normal(coords.shape)

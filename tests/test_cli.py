@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from affrig import formats
+from affrig import cli, formats
 from affrig.cli import main
 from affrig.families import (
     complete_k_hypergraph,
@@ -343,6 +343,19 @@ class TestPlumbing:
         main(["test", src, "--dim", "2", "--seed", "1", "--quiet"])
         captured = capsys.readouterr()
         assert captured.out == ""
+
+    def test_recursion_error_exits_2_without_traceback(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def overflow(gamma, k):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "is_k_vertex_connected", overflow)
+        src = write_structure(tmp_path, "path.json", path_graph(5))
+        assert main(["connectivity", src, "--k", "2", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affrig: ")
+        assert "RecursionError" in err
+        assert "Traceback" not in err
 
     def test_console_entry_point(self, tmp_path):
         src = write_structure(tmp_path, "fig1.json", fig1_hypergraph())

@@ -1,9 +1,12 @@
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 from affrig.errors import InvalidInputError
+from affrig.families import cycle_graph
 from affrig.hypergraph import (
     Graph,
     Hypergraph,
@@ -192,6 +195,33 @@ class TestConnectivity:
                     g.sorted_edges(),
                     k,
                 )
+
+    def test_matches_networkx_on_larger_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(9, 41))
+            g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+            oracle = nx.Graph()
+            oracle.add_nodes_from(range(n))
+            oracle.add_edges_from(g.edges)
+            kappa = nx.node_connectivity(oracle)
+            for k in range(1, 5):
+                assert is_k_vertex_connected(g, k) == (n > k and kappa >= k), (
+                    g.sorted_edges(),
+                    k,
+                )
+
+    def test_long_paths_need_no_recursion(self):
+        # Augmenting paths around a long cycle are as long as the cycle; a
+        # recursive search would exceed a recursion limit set just above the
+        # current stack depth.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            assert is_k_vertex_connected(cycle_graph(300), 2)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_complete_graph(self):
         k5 = Graph.from_edges(5, itertools.combinations(range(5), 2))
