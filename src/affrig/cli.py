@@ -130,7 +130,6 @@ def cmd_test(args) -> int:
     started = time.perf_counter()
     structure = _load_structure(args.input)
     parameters = {"input": args.input, "dim": args.dim, "mode": args.mode}
-    residuals = {}
     if args.mode == "generic":
         seed = _pick_seed(args)
         parameters.update(trials=args.trials, seed=seed, prime=args.prime)
@@ -154,8 +153,6 @@ def cmd_test(args) -> int:
         parameters.update(tol=args.tol, framework=args.framework)
         framework = Framework(structure, coords)
         result = rigidity.affine_rigidity_test(framework, rel_tol=args.tol)
-        affinity = rigidity.strong_affinity_matrix(framework, rel_tol=args.tol)
-        residuals = rigidity.affinity_residuals(affinity, framework)
     else:
         seed = _pick_seed(args)
         parameters.update(tol=args.tol, seed=seed)
@@ -171,7 +168,7 @@ def cmd_test(args) -> int:
         corank=result.corank,
         one_sided=result.one_sided,
         certificate=result.certificate,
-        residuals=residuals,
+        residuals=result.residuals,
     )
     _finish_report(args, report, started)
     _say(args, f"verdict: {result.verdict} (corank {result.corank}); "

@@ -26,14 +26,9 @@ from .errors import (
     NonUniqueTransformError,
     NotAffinelyRigidError,
 )
-from .hypergraph import Graph, Hypergraph, as_hypergraph
+from .hypergraph import Hypergraph, as_hypergraph
 from .numkernel import DEFAULT_REL_TOL
-from .rigidity import (
-    Framework,
-    conic_at_infinity_test,
-    _affinity_from_blocks,
-    _direction_monomials,
-)
+from .rigidity import Framework, _affinity_from_blocks, _direction_monomials
 
 logger = logging.getLogger(__name__)
 
@@ -259,10 +254,10 @@ def remove_affine(
     Fits a symmetric Gram matrix G so that the recovered directions reproduce
     the measured squared lengths, then applies a Cholesky-type factor of G.
     The fit is unique exactly when the measured directions do not lie on a
-    conic at infinity; how far they stay from one is reported as the
-    ``conic_margin`` diagnostic (relative smallest singular value of the
-    monomial system — no guarantee beyond that is attempted for noisy
-    near-degenerate data).
+    conic at infinity, i.e. when its monomial system (one row per measured
+    pair, repeats included) has no numerical kernel. One SVD of that system
+    decides this and gives the ``conic_margin`` diagnostic, its relative
+    smallest singular value (no guarantee beyond that for noisy data).
     """
     if registration.gauge != AFFINE:
         raise InvalidInputError("remove_affine expects an affine-gauge registration")
@@ -279,19 +274,16 @@ def remove_affine(
     if not constraints:
         raise InvalidInputError("no length constraints given")
 
-    pairs = sorted({(min(u, w), max(u, w)) for u, w, _ in constraints})
-    gamma = Graph.from_edges(v, pairs)
-    if conic_at_infinity_test(Framework(gamma, config), rel_tol):
+    directions = np.array([config[u] - config[w] for u, w, _ in constraints])
+    design = _direction_monomials(directions)
+    kernel = numkernel.numerical_kernel(design, rel_tol)
+    if kernel.dimension > 0:
         raise NonUniqueTransformError(
             "measured directions lie on a conic at infinity; the Gram fit "
             "is not unique"
         )
-
-    directions = np.array([config[u] - config[w] for u, w, _ in constraints])
-    design = _direction_monomials(directions)
     target = np.array([squared for _, _, squared in constraints])
-    monomial_spectrum = np.linalg.svd(design, compute_uv=False)
-    conic_margin = float(monomial_spectrum[-1] / monomial_spectrum[0])
+    conic_margin = float(kernel.singular_values[-1] / kernel.singular_values[0])
     packed = numkernel.least_squares(design, target)
     gram = _symmetric_from_packed(packed, d)
     factor = numkernel.psd_cholesky(gram)

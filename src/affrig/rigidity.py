@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -113,10 +113,17 @@ class StressMatrix:
 
 @dataclass(frozen=True)
 class RigidityVerdict:
+    """A rank test's verdict, the corank it rests on and its certificate.
+
+    ``residuals``, filled by ``affine_rigidity_test`` only, are those of the
+    matrix the verdict was decided on; equality and hashing ignore them.
+    """
+
     verdict: str
     corank: int
     certificate: str
     one_sided: bool
+    residuals: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +225,15 @@ def affine_rigidity_test(
     axes}, so every affinely-compatible configuration is an affine image of
     this one: rigid. Corank above d+1 exhibits an extra kernel direction:
     flexible. Corank below d+1 cannot happen for proper frameworks.
+
+    The matrix is built and factored once; the verdict's ``residuals`` are
+    read from that one SVD and equal ``affinity_residuals`` of the matrix.
     """
     _require_proper(framework, rel_tol)
     v, d = framework.vertex_count, framework.dim
     affinity = strong_affinity_matrix(framework, rel_tol)
-    corank = affinity_corank(affinity, rel_tol)
+    kernel = numkernel.numerical_kernel(affinity.matrix, rel_tol)
+    corank = kernel.dimension
     assert corank >= d + 1, (
         f"corank {corank} below d+1 = {d + 1} on a proper framework"
     )
@@ -231,7 +242,8 @@ def affine_rigidity_test(
         f"strong affinity matrix {affinity.matrix.shape[0]}x{v}, "
         f"rank {v - corank}, relative cutoff {rel_tol:g}"
     )
-    return RigidityVerdict(verdict, corank, certificate, one_sided=False)
+    residuals = _affinity_residuals(affinity, framework, kernel)
+    return RigidityVerdict(verdict, corank, certificate, False, residuals)
 
 
 def field_affinity_corank(
@@ -727,41 +739,41 @@ def affinity_residuals(
     """Worst-case violations of the affinity-matrix contract.
 
     Returns row-sum residual (rows scaled to unit norm), off-support mass,
-    and the relative residual of the lifted coordinate vectors under the
-    matrix.
+    and the residual of the lifted coordinate vectors relative to the largest
+    singular value, taken from the ``numerical_kernel`` SVD that
+    ``affine_rigidity_test`` decides on, so both report the same numbers.
     """
+    kernel = numkernel.numerical_kernel(affinity.matrix)
+    return _affinity_residuals(affinity, framework, kernel)
+
+
+def _affinity_residuals(
+    affinity: AffinityMatrix, framework: Framework, kernel: numkernel.KernelBasis
+) -> dict[str, float]:
     theta = as_hypergraph(framework.structure)
     matrix = affinity.matrix
-    row_sum = 0.0
-    off_support = 0.0
-    for r in range(matrix.shape[0]):
-        row = matrix[r]
-        norm = np.linalg.norm(row)
-        if norm > 0:
-            row_sum = max(row_sum, abs(row.sum()) / norm)
-        support = sorted(theta.hyperedges[affinity.row_provenance[r]])
-        outside = np.delete(row, support)
-        if outside.size:
-            off_support = max(off_support, float(np.abs(outside).max()))
-    kernel_residual = _kernel_residual(matrix, framework.coordinates)
+    norms = np.linalg.norm(matrix, axis=1)
+    ratios = np.abs(matrix.sum(axis=1)) / np.where(norms > 0, norms, 1.0)
+    outside = np.ones(matrix.shape, dtype=bool)
+    for r, index in enumerate(affinity.row_provenance):
+        outside[r, list(theta.hyperedges[index])] = False
+    # Largest |entry| off the support, without copying the matrix.
+    largest = matrix.max(where=outside, initial=0.0)
+    smallest = matrix.min(where=outside, initial=0.0)
+    sigma_max = float(kernel.singular_values.max(initial=0.0))
     return {
-        "row_sum": row_sum,
-        "off_support": off_support,
-        "kernel_residual": kernel_residual,
+        "row_sum": float(ratios.max(initial=0.0)),
+        "off_support": float(max(largest, -smallest)),
+        "kernel_residual": _kernel_residual(matrix, framework.coordinates, sigma_max),
     }
 
 
-def _kernel_residual(matrix: np.ndarray, coordinates: np.ndarray) -> float:
-    """Relative residual of {ones, coordinate axes} under the matrix."""
-    if matrix.shape[0] == 0:
-        return 0.0
-    scale = np.linalg.norm(matrix, 2)
+def _kernel_residual(matrix: np.ndarray, coords: np.ndarray, scale: float) -> float:
+    """Residual of {ones, coordinate axes} under a matrix of 2-norm ``scale``."""
     if scale == 0:
         return 0.0
     worst = 0.0
-    vectors = [np.ones(coordinates.shape[0])] + [
-        coordinates[:, axis] for axis in range(coordinates.shape[1])
-    ]
+    vectors = [np.ones(len(coords)), *coords.T]
     for vec in vectors:
         worst = max(
             worst,
@@ -778,20 +790,17 @@ def stress_residuals(
     if not isinstance(gamma, Graph):
         raise InvalidInputError("stress residuals are defined on graphs")
     matrix = stress.matrix
-    v = framework.vertex_count
-    sparsity = 0.0
-    for u in range(v):
-        for w in range(v):
-            if u != w and not gamma.has_edge(u, w):
-                sparsity = max(sparsity, abs(float(matrix[u, w])))
+    allowed = np.eye(framework.vertex_count, dtype=bool)
+    edges = np.array(gamma.sorted_edges(), dtype=int).reshape(-1, 2)
+    allowed[edges[:, 0], edges[:, 1]] = allowed[edges[:, 1], edges[:, 0]] = True
     scale = max(float(np.linalg.norm(matrix, 2)), 1e-300)
     row_sum = float(np.abs(matrix.sum(axis=1)).max()) / scale
-    kernel_residual = _kernel_residual(matrix, framework.coordinates)
+    kernel_residual = _kernel_residual(matrix, framework.coordinates, scale)
     symmetry = (
         float(np.linalg.norm(matrix - matrix.T, 2)) / scale if stress.symmetric else 0.0
     )
     return {
-        "sparsity": sparsity,
+        "sparsity": float(np.abs(matrix[~allowed]).max(initial=0.0)),
         "row_sum": row_sum,
         "kernel_residual": kernel_residual,
         "symmetry": symmetry,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from affrig import cli, formats
+from affrig import cli, formats, rigidity
 from affrig.cli import main
 from affrig.families import (
     complete_k_hypergraph,
@@ -160,6 +160,36 @@ class TestTest:
               fw, "--tol", "1e-3", "--report", report, "--quiet"])
         doc = stripped_report(report)
         assert doc["residuals"] == affinity_residuals(loose, framework)
+
+    def test_framework_mode_builds_and_factors_once(self, tmp_path, monkeypatch):
+        theta = neighborhood_hypergraph(hexagonal_torus(3, 3))
+        coords = generic_framework(theta, 2, seed=8).coordinates
+        src = write_structure(tmp_path, "nbh.json", theta)
+        fw = str(tmp_path / "coords.json")
+        formats.write_document(formats.document_from_coordinates(coords), fw)
+        built, factored = [], []
+        build = rigidity.strong_affinity_matrix
+        factor = np.linalg.svd
+
+        def counting_build(*args, **kwargs):
+            affinity = build(*args, **kwargs)
+            built.append(affinity.matrix.shape)
+            return affinity
+
+        def counting_factor(a, *args, **kwargs):
+            factored.append(np.shape(a))
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(rigidity, "strong_affinity_matrix", counting_build)
+        # Spy on the implementing module too: matrix norms look svd up there.
+        implementation = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        for module in (np.linalg, implementation):
+            monkeypatch.setattr(module, "svd", counting_factor)
+        code = main(["test", src, "--dim", "2", "--mode", "framework",
+                     "--framework", fw, "--quiet"])
+        assert code == 0
+        assert len(built) == 1
+        assert factored.count(built[0]) == 1
 
     def test_framework_dimension_mismatch(self, tmp_path):
         theta = fig1_hypergraph()

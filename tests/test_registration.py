@@ -18,7 +18,7 @@ from affrig.families import (
     pentagon_hypergraph,
     trilateration_graph,
 )
-from affrig.hypergraph import neighborhood_hypergraph
+from affrig.hypergraph import Graph, neighborhood_hypergraph
 from affrig.registration import (
     Registration,
     Scan,
@@ -35,6 +35,7 @@ from affrig.rigidity import (
     Framework,
     _affinity_from_blocks,
     affinity_corank,
+    conic_at_infinity_test,
     generic_affine_rigidity_test,
     strong_affinity_matrix,
 )
@@ -334,6 +335,52 @@ class TestRemoveAffine:
         axis_pairs = [(0, 1, 1.0), (2, 3, 1.0), (0, 2, 1.0), (1, 3, 1.0)]
         with pytest.raises(NonUniqueTransformError):
             remove_affine(self.pinned(square), axis_pairs)
+
+    def test_uniqueness_matches_conic_oracle(self):
+        # The fit decides uniqueness on its own monomial system; the conic
+        # test on the graph of measured pairs is the reference.
+        rng = np.random.default_rng(95)
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        outcomes = []
+        for case in range(40):
+            if case % 4 == 0:  # axis-aligned square or rectangle
+                config = square * rng.uniform(0.5, 3.0, 2) + rng.standard_normal(2)
+            else:
+                d = 2 + case % 2
+                config = rng.standard_normal((int(rng.integers(d + 1, d + 5)), d))
+            v, d = config.shape
+            pairs = [(u, w) for u in range(v) for w in range(u + 1, v)]
+            count = int(rng.integers(1, min(len(pairs), 3 * d) + 1))
+            picked = rng.choice(len(pairs), count, replace=False)
+            measured = [pairs[i] for i in picked]
+            measured += [(w, u) for u, w in measured[: count // 2]]  # measured twice
+            gauge = rng.standard_normal((d, d)) + 2 * np.eye(d)
+            lengths = [
+                (u, w, float(np.sum((gauge @ (config[u] - config[w])) ** 2)))
+                for u, w in measured
+            ]
+            on_conic = conic_at_infinity_test(
+                Framework(Graph.from_edges(v, measured), config)
+            )
+            outcomes.append(on_conic)
+            if on_conic:
+                with pytest.raises(NonUniqueTransformError):
+                    remove_affine(self.pinned(config), lengths)
+                continue
+            result = remove_affine(self.pinned(config), lengths)
+            directions = np.array([config[u] - config[w] for u, w in measured])
+            design = np.column_stack(
+                [
+                    (1 if i == j else 2) * directions[:, i] * directions[:, j]
+                    for i in range(d)
+                    for j in range(i, d)
+                ]
+            )
+            spectrum = np.linalg.svd(design, compute_uv=False)
+            assert result.diagnostics["conic_margin"] == pytest.approx(
+                spectrum[-1] / spectrum[0], abs=1e-12
+            )
+        assert 10 <= sum(outcomes) <= 30
 
     def test_impossible_lengths_are_inconsistent(self):
         triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -30,7 +30,10 @@ from affrig.numkernel import numerical_kernel, numerical_rank
 from affrig.rigidity import (
     FLEXIBLE,
     RIGID,
+    AffinityMatrix,
     Framework,
+    RigidityVerdict,
+    StressMatrix,
     affine_rigidity_test,
     affine_span_dimension,
     affinity_corank,
@@ -135,6 +138,23 @@ class TestStrongAffinity:
             assert res["off_support"] == 0.0
             assert res["kernel_residual"] <= 1e-8
 
+    # fig1 has affine relations only on a line: its triangles in d = 1.
+    @pytest.mark.parametrize(
+        "theta, d, entry",
+        [(fig1_hypergraph(), 1, 0.375), (complete_k_hypergraph(7, 4), 2, -0.375)],
+        ids=["fig1", "K74"],
+    )
+    def test_off_support_entry_is_reported(self, theta, d, entry):
+        fw = generic_framework(theta, d, seed=6)
+        am = strong_affinity_matrix(fw)
+        row = am.matrix.shape[0] // 2
+        members = theta.hyperedges[am.row_provenance[row]]
+        outside = min(set(range(fw.vertex_count)) - set(members))
+        tampered = am.matrix.copy()
+        tampered[row, outside] = entry
+        bad = AffinityMatrix(tampered, am.row_provenance, am.strong)
+        assert affinity_residuals(bad, fw)["off_support"] == abs(entry)
+
     def test_collinear_triple_contributes_relation(self):
         # Three collinear points satisfy one affine relation even though a
         # generic triple would satisfy none.
@@ -213,6 +233,30 @@ class TestAffineRigidityTest:
         am_base = strong_affinity_matrix(fw)
         am_padded = strong_affinity_matrix(padded)
         assert affinity_corank(am_base) == affinity_corank(am_padded)
+
+    @pytest.mark.parametrize(
+        "theta, d",
+        [
+            (fig1_hypergraph(), 2),
+            (neighborhood_hypergraph(hexagonal_torus(3, 3)), 2),
+            (complete_k_hypergraph(8, 5), 3),
+        ],
+        ids=["fig1", "NH33", "K85"],
+    )
+    def test_residuals_are_those_of_the_decided_matrix(self, theta, d):
+        fw = generic_framework(theta, d, seed=15)
+        residuals = affine_rigidity_test(fw).residuals
+        assert residuals == affinity_residuals(strong_affinity_matrix(fw), fw)
+        assert set(residuals) == {"row_sum", "off_support", "kernel_residual"}
+
+    def test_residuals_take_no_part_in_equality(self):
+        plain = RigidityVerdict(RIGID, 3, "certificate", one_sided=False)
+        with_residuals = RigidityVerdict(
+            RIGID, 3, "certificate", one_sided=False, residuals={"row_sum": 1e-16}
+        )
+        assert plain == with_residuals
+        assert hash(plain) == hash(with_residuals)
+        assert plain != RigidityVerdict(FLEXIBLE, 3, "certificate", one_sided=False)
 
     def test_certificate_mentions_cutoff(self):
         fw = generic_framework(pentagon_hypergraph(), 2, seed=11)
@@ -401,6 +445,18 @@ class TestNonsymmetricStress:
             assert res["sparsity"] == 0.0
             assert res["row_sum"] <= 1e-8
             assert res["kernel_residual"] <= 1e-8
+
+    def test_non_edge_entry_is_reported(self):
+        gamma = trilateration_graph(10, 2, seed=3)
+        fw = generic_framework(gamma, 2, seed=103)
+        stress = nonsymmetric_stress(fw, seed=3)
+        u, w = next(
+            (u, w) for u in range(10) for w in range(u) if not gamma.has_edge(u, w)
+        )
+        tampered = stress.matrix.copy()
+        tampered[u, w] = -0.25
+        bad = StressMatrix(tampered, symmetric=False)
+        assert stress_residuals(bad, fw)["sparsity"] == 0.25
 
     def test_deterministic_for_seed(self):
         fw = generic_framework(wheel_graph(5), 2, seed=33)
