@@ -399,6 +399,70 @@ def _barycentric_margin(
     return -result.fun, result.x[:k]
 
 
+# A corrected barycentric row certifies interiority only if it meets the d+1
+# balance equations to this share of its scale and its smallest weight
+# clears the caller's floor by this much.
+_BALANCE_TOL = 1e-12
+
+
+def _barycentric_rows(
+    coords: np.ndarray,
+    vertices: Sequence[int],
+    neighbor_lists: Sequence[Sequence[int]],
+    floor: float,
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """Margin and barycentric weights of each vertex among its neighbors.
+
+    Vertices of equal degree k are certified together. Their weights start
+    uniform at 1/k and receive the minimum-norm correction N⁺r, where N is
+    the (d+1)×k lift [neighbor coordinates; ones] and r the residual of the
+    balance equations N l = [p; 1], from one stacked pseudo-inverse per
+    degree. A corrected row that balances to ``_BALANCE_TOL`` of its scale
+    and whose smallest weight clears ``floor`` by more than ``_BALANCE_TOL``
+    is a feasible point of the LP in ``_barycentric_margin``: its smallest
+    weight is the margin returned, a lower bound on the LP's optimum, so the
+    LP would pass the test ``margin > floor`` too. The clearance keeps
+    rounding noise on a zero weight (a point on the hull's boundary) from
+    passing for a positive one. Every other row (off the span, on the
+    boundary, of degree 0) gets the LP's margin and weights, so a caller's
+    decision ``margin > floor`` always equals the LP's.
+    """
+    d = coords.shape[1]
+    margins = np.empty(len(vertices))
+    weights: list[np.ndarray | None] = [None] * len(vertices)
+    by_degree: dict[int, list[int]] = {}
+    for i, nbrs in enumerate(neighbor_lists):
+        by_degree.setdefault(len(nbrs), []).append(i)
+    fallback = by_degree.pop(0, [])
+    for k, rows in by_degree.items():
+        nbrs = np.array([neighbor_lists[i] for i in rows], dtype=np.intp)
+        lift = np.ones((len(rows), d + 1, k))
+        lift[:, :d, :] = coords[nbrs].transpose(0, 2, 1)
+        target = np.ones((len(rows), d + 1, 1))
+        target[:, :d, 0] = coords[[vertices[i] for i in rows]]
+        start = np.full((len(rows), k, 1), 1.0 / k)
+        corrected = start + np.linalg.pinv(lift) @ (target - lift @ start)
+        imbalance = np.abs(lift @ corrected - target).max(axis=(1, 2))
+        scale = np.abs(corrected).sum(axis=(1, 2)) * np.abs(lift).max(axis=(1, 2))
+        smallest = corrected.min(axis=(1, 2))
+        certified = (imbalance <= _BALANCE_TOL * scale) & (
+            smallest > floor + _BALANCE_TOL
+        )
+        for row, i in enumerate(rows):
+            if certified[row]:
+                margins[i], weights[i] = smallest[row], corrected[row, :, 0]
+            else:
+                fallback.append(i)
+    if fallback:
+        logger.debug("%d of %d barycentric rows fall back to the LP",
+                     len(fallback), len(vertices))
+    for i in fallback:
+        margins[i], weights[i] = _barycentric_margin(
+            coords[vertices[i]], coords[list(neighbor_lists[i])]
+        )
+    return margins, weights
+
+
 def rubber_band_embedding(
     gamma: Graph,
     d: int,
@@ -414,6 +478,17 @@ def rubber_band_embedding(
     configuration is nudged by ``jitter`` times its diameter, rejecting
     nudges that push some non-exceptional vertex out of the relative interior
     of its neighbors' convex hull. ``jitter=0`` returns the exact relaxation.
+
+    A nudge is accepted when every free vertex has barycentric weights above
+    1e-9 among its neighbors. Interiority is certified by correction: the
+    uniform weights 1/deg plus the minimum-norm correction that restores the
+    d+1 balance equations, batched over vertices of equal degree. A row that
+    balances and clears 1e-9 is a feasible point of the max-min LP
+    (``_barycentric_margin``), whose optimum is then above 1e-9 as well; the
+    LP decides only the rows the correction leaves unbalanced or too small.
+    So every nudge is accepted or rejected exactly as the LP alone would,
+    and the random stream and the returned coordinates do not depend on how
+    many rows the correction certified.
 
     Connectivity is not checked beyond reachability: a vertex with no path
     to the pinned set raises ``DegenerateInstanceError``. The paper's
@@ -495,13 +570,11 @@ def rubber_band_embedding(
         float(np.linalg.norm(coords[a + 1:] - coords[a], axis=1).max())
         for a in range(v - 1)
     )
+    neighbor_lists = [gamma.neighbors(u) for u in interior]
     for attempt in range(10):
         nudged = coords + jitter * diameter * rng.standard_normal(coords.shape)
-        margins = (
-            _barycentric_margin(nudged[u], nudged[list(gamma.neighbors(u))])[0]
-            for u in interior
-        )
-        if all(margin > 1e-9 for margin in margins):
+        margins, _ = _barycentric_rows(nudged, interior, neighbor_lists, 1e-9)
+        if np.all(margins > 1e-9):
             return Framework(gamma, nudged)
         logger.debug("jitter attempt %d broke convex containment", attempt + 1)
     raise DegenerateInstanceError(
@@ -518,20 +591,28 @@ def positive_stress(
     Each such vertex must lie in the relative interior of its neighbors'
     hull (as rubber-band outputs do); its row holds barycentric coordinates
     there, with -1 on the diagonal. Pinned rows are zero.
+
+    The coordinates are the uniform weights 1/deg corrected by the
+    minimum-norm change that balances the row, batched over vertices of
+    equal degree, and accepted when every weight is positive. They are
+    valid positive barycentric coordinates, not the max-min vertex of the
+    LP. A row the correction leaves unbalanced or not positive is decided
+    by the LP (``_barycentric_margin``) and takes its weights; since a
+    balanced positive row is feasible for that LP, a vertex is rejected
+    exactly when the LP finds no positive weights.
     """
     gamma = framework.structure
     if not isinstance(gamma, Graph):
         raise InvalidInputError("positive stresses are defined on graphs")
     v = framework.vertex_count
     pinned = set(exceptional)
+    interior = [u for u in range(v) if u not in pinned]
+    neighbor_lists = [list(gamma.neighbors(u)) for u in interior]
+    margins, rows = _barycentric_rows(
+        framework.coordinates, interior, neighbor_lists, 0.0
+    )
     omega = np.zeros((v, v))
-    for u in range(v):
-        if u in pinned:
-            continue
-        nbrs = list(gamma.neighbors(u))
-        margin, weights = _barycentric_margin(
-            framework.coordinates[u], framework.coordinates[nbrs]
-        )
+    for u, nbrs, margin, weights in zip(interior, neighbor_lists, margins, rows):
         if weights is None or margin <= 0:
             raise DegenerateInstanceError(
                 f"vertex {u} is not interior to its neighbors' hull"

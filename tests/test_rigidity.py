@@ -2,7 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from affrig import rigidity
 from affrig.errors import (
     DegenerateInstanceError,
     ImproperFrameworkError,
@@ -414,6 +416,93 @@ class TestPositiveStress:
         block = stress.matrix[np.ix_(interior, interior)]
         smallest = np.linalg.svd(block, compute_uv=False)[-1]
         assert smallest > 1e-6
+
+
+class TestBarycentricCertificate:
+    """Rubber-band interiority certified by correction, with the LP as fallback."""
+
+    @staticmethod
+    def _count_linprog(monkeypatch):
+        calls = []
+        real = scipy.optimize.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        return calls
+
+    @staticmethod
+    def _segment_graph():
+        """wheel_graph(6) plus vertex 7 joined only to rim vertices 1 and 3."""
+        wheel = wheel_graph(6)
+        return Graph.from_edges(8, list(wheel.sorted_edges()) + [(1, 7), (3, 7)])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_few_lp_calls(self, monkeypatch, seed):
+        calls = self._count_linprog(monkeypatch)
+        gamma = trilateration_graph(300, 2, seed=seed)
+        fw = rubber_band_embedding(gamma, 2, seed=seed)
+        positive_stress(fw, choose_exceptional(gamma, 2))
+        # One LP per free vertex in each of the two checks would be 594.
+        assert len(calls) < 10
+
+    def test_forced_fallback_matches_default_path(self, monkeypatch):
+        gamma = trilateration_graph(40, 2, seed=3)
+        pinned = choose_exceptional(gamma, 2)
+        default = rubber_band_embedding(gamma, 2, seed=5)
+        calls = self._count_linprog(monkeypatch)
+        # No row can balance to a negative tolerance, so every row goes to the LP.
+        monkeypatch.setattr(rigidity, "_BALANCE_TOL", -1.0)
+        forced = rubber_band_embedding(gamma, 2, seed=5)
+        np.testing.assert_array_equal(forced.coordinates, default.coordinates)
+        stress = positive_stress(forced, pinned)
+        assert len(calls) >= 2 * (gamma.vertex_count - len(pinned))
+        res = stress_residuals(stress, forced)
+        assert res["sparsity"] == 0.0
+        assert res["row_sum"] <= 1e-8
+        assert res["kernel_residual"] <= 1e-8
+
+    def test_degree_two_vertex_is_decided_by_the_lp(self, monkeypatch):
+        """A nudge moves vertex 7 off its segment, where no row balances.
+
+        The correction's least-squares row must not certify it. HiGHS holds
+        the balance equations only to about 1e-7, so the LP itself accepts
+        some nudges that land that close to the segment; whatever it
+        decides, the default path must decide the same.
+        """
+        gamma = self._segment_graph()
+        with pytest.raises(DegenerateInstanceError):
+            rubber_band_embedding(gamma, 2, seed=0)
+
+        def accepted(seed):
+            try:
+                return rubber_band_embedding(gamma, 2, seed=seed).coordinates
+            except DegenerateInstanceError:
+                return None
+
+        # The LP rejects every nudge at seed 1 and accepts one at seed 5.
+        seeds = (1, 5)
+        default = [accepted(seed) for seed in seeds]
+        monkeypatch.setattr(rigidity, "_BALANCE_TOL", -1.0)
+        for seed, ours in zip(seeds, default):
+            theirs = accepted(seed)
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                np.testing.assert_array_equal(ours, theirs)
+
+    def test_degree_two_vertex_gets_its_segment_weights(self):
+        gamma = self._segment_graph()
+        fw = rubber_band_embedding(gamma, 2, seed=40, jitter=0.0)
+        stress = positive_stress(fw, choose_exceptional(gamma, 2))
+        p = fw.coordinates
+        along = np.linalg.norm(p[7] - p[3]) / np.linalg.norm(p[1] - p[3])
+        np.testing.assert_allclose(
+            stress.matrix[7, [1, 3]], [along, 1.0 - along], rtol=1e-9
+        )
+        assert stress.matrix[7, 7] == -1.0
+        assert np.count_nonzero(stress.matrix[7]) == 3
 
 
 class TestNonsymmetricStress:
