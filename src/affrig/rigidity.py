@@ -426,7 +426,14 @@ def _barycentric_rows(
     passing for a positive one. Every other row (off the span, on the
     boundary, of degree 0) gets the LP's margin and weights, so a caller's
     decision ``margin > floor`` always equals the LP's.
+
+    The LP's solver is imported on every call, not on the first fallback:
+    importing ``scipy.optimize`` costs about 40 MB and half a second, and a
+    process's footprint and timings should not depend on whether some row
+    of some call ever fell back.
     """
+    import scipy.optimize  # noqa: F401
+
     d = coords.shape[1]
     margins = np.empty(len(vertices))
     weights: list[np.ndarray | None] = [None] * len(vertices)

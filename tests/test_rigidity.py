@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -503,6 +506,35 @@ class TestBarycentricCertificate:
         )
         assert stress.matrix[7, 7] == -1.0
         assert np.count_nonzero(stress.matrix[7]) == 3
+
+    def test_solver_is_loaded_without_a_fallback(self):
+        """A call that certifies every row still loads the LP's solver.
+
+        Otherwise a process's memory footprint would hinge on whether some
+        row ever fell back. A fresh interpreter is needed, since this one
+        has imported scipy.optimize already.
+        """
+        script = (
+            "import sys\n"
+            "from affrig import rigidity\n"
+            "from affrig.families import trilateration_graph\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "def no_lp(*args):\n"
+            "    raise AssertionError('unexpected fallback')\n"
+            "rigidity._barycentric_margin = no_lp\n"
+            "rigidity.rubber_band_embedding(trilateration_graph(30, 2, seed=0), 2)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(rigidity.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True"
 
 
 class TestNonsymmetricStress:
