@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,8 +41,13 @@ PRIME_POOL_60BIT = (
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, valid for every n below 3.3e24.
+
+    Cached, since every ``PrimeFieldMatrix`` checks its modulus and the
+    rigidity tests build one per hyperedge with the same few moduli.
+    """
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:
@@ -182,7 +188,11 @@ class PrimeFieldMatrix:
 
 
 def _reduced_echelon(m: PrimeFieldMatrix) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce mod q; returns the workspace and the pivot columns."""
+    """Row-reduce mod q; returns the workspace and the pivot columns.
+
+    Dense Gauss-Jordan, used only by ``prime_field_nullspace`` on small
+    matrices (the (d+1)×k lift of one hyperedge).
+    """
     q = m.modulus
     work = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
@@ -207,10 +217,50 @@ def _reduced_echelon(m: PrimeFieldMatrix) -> tuple[list[list[int]], list[int]]:
     return work, pivots
 
 
-def prime_field_rank(m: PrimeFieldMatrix) -> int:
-    """Exact rank over F_q by Gaussian elimination with modular inverses."""
-    _, pivots = _reduced_echelon(m)
+def _sparse_rank(rows: Iterable[dict[int, int]], q: int) -> int:
+    """Rank over F_q of sparse rows ``{column: nonzero residue}``.
+
+    Forward elimination only: each row is reduced against the stored pivot
+    rows, lowest column first, until it is empty or its lowest column has no
+    pivot yet, where it is stored, scaled to a leading 1, as a new pivot row.
+    Neither back-substitution nor a dense workspace is needed for a rank.
+    The rows are consumed (modified in place).
+    """
+    # Pivot column -> minus the rest of its pivot row (the leading 1 is
+    # implicit), so that reducing adds multiples of nonnegative residues.
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        get = row.get
+        while row:
+            col = min(row)
+            tail = pivots.get(col)
+            if tail is None:
+                minus_inv = q - pow(row.pop(col), -1, q)
+                pivots[col] = [(c, x * minus_inv % q) for c, x in row.items()]
+                break
+            f = row.pop(col)
+            for c, x in tail:
+                y = (get(c, 0) + f * x) % q
+                if y:
+                    row[c] = y
+                else:
+                    # Absent entries cannot cancel: f * x is a nonzero product.
+                    del row[c]
     return len(pivots)
+
+
+def prime_field_rank(m: PrimeFieldMatrix) -> int:
+    """Exact rank over F_q by sparse forward elimination.
+
+    The nonzero entries of each row go to ``_sparse_rank``, which reduces
+    rows forward only against pivot rows keyed by their lowest column. The
+    rank is a property of the matrix, so neither the row order nor the
+    column numbering can change it; they change only the fill, i.e. how
+    many entries the reduced rows carry and hence the cost.
+    """
+    return _sparse_rank(
+        ({c: x for c, x in enumerate(row) if x} for row in m.entries), m.modulus
+    )
 
 
 def prime_field_nullspace(m: PrimeFieldMatrix) -> list[tuple[int, ...]]:

@@ -246,6 +246,38 @@ def affine_rigidity_test(
     return RigidityVerdict(verdict, corank, certificate, False, residuals)
 
 
+def _bandwidth_order(gamma: Graph) -> list[int]:
+    """Reverse Cuthill-McKee order of a graph's vertices.
+
+    Breadth-first search from a vertex of least degree, visiting each
+    vertex's unseen neighbors in order of increasing degree (ties by index),
+    restarted the same way on every component; the visiting order, reversed.
+    Consecutive positions then hold nearby vertices, which keeps the
+    bandwidth of a matrix whose nonzeros follow the graph's edges small.
+    """
+    adjacency = gamma.adjacency
+
+    def key(u: int) -> tuple[int, int]:
+        return len(adjacency[u]), u
+
+    seen = [False] * gamma.vertex_count
+    order: list[int] = []
+    for root in sorted(range(gamma.vertex_count), key=key):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            fresh = sorted((w for w in adjacency[order[head]] if not seen[w]), key=key)
+            for w in fresh:
+                seen[w] = True
+            order.extend(fresh)
+            head += 1
+    order.reverse()
+    return order
+
+
 def field_affinity_corank(
     structure: Graph | Hypergraph,
     d: int,
@@ -256,6 +288,15 @@ def field_affinity_corank(
 
     ``coords`` holds one length-d integer tuple per vertex; entries may be
     arbitrary integers and are reduced into the field.
+
+    Each hyperedge's relations, the F_q nullspace of its (d+1)×k lift, are
+    written straight into sparse rows and their rank is found by forward
+    elimination (``numkernel._sparse_rank``); no dense v-column matrix is
+    built. Column j holds the vertex at position j of a reverse
+    Cuthill-McKee order of the body graph. Renumbering the columns permutes
+    them, which cannot change the rank, but it keeps each row's nonzeros
+    near its lowest column and so bounds the fill: on hexagonal tori the
+    order makes the elimination three times faster than vertex-index order.
     """
     theta = as_hypergraph(structure)
     if d < 1:
@@ -263,7 +304,10 @@ def field_affinity_corank(
     v = theta.vertex_count
     if len(coords) != v or any(len(point) != d for point in coords):
         raise InvalidInputError(f"need {v} integer points of length {d}")
-    rows: list[list[int]] = []
+    column = [0] * v
+    for position, u in enumerate(_bandwidth_order(body_graph(theta))):
+        column[u] = position
+    rows: list[dict[int, int]] = []
     for h in theta.hyperedges:
         members = sorted(h)
         lift = [[1] * len(members)] + [
@@ -272,15 +316,8 @@ def field_affinity_corank(
         for vec in numkernel.prime_field_nullspace(
             numkernel.PrimeFieldMatrix.from_integers(lift, q)
         ):
-            row = [0] * v
-            for value, u in zip(vec, members):
-                row[u] = value
-            rows.append(row)
-    if not rows:
-        return v
-    return v - numkernel.prime_field_rank(
-        numkernel.PrimeFieldMatrix.from_integers(rows, q)
-    )
+            rows.append({column[u]: x for x, u in zip(vec, members) if x})
+    return v - numkernel._sparse_rank(rows, q)
 
 
 def generic_affine_rigidity_test(
@@ -294,12 +331,26 @@ def generic_affine_rigidity_test(
     """Decide generic affine rigidity by exact rank tests over a prime field.
 
     Each trial samples a configuration uniformly over F_q and computes the
-    affinity-matrix corank with exact field arithmetic; the minimum over
-    trials is reported. Since corank at any configuration only exceeds the
-    generic corank, hitting d+1 proves generic rigidity outright; a larger
-    minimum means "flexible" up to the chance that every sample was
-    degenerate, which is bounded per trial by (a few minor degrees)/q — below
-    1e-14 here — so the flexible verdict is flagged one-sided.
+    affinity-matrix corank exactly, by sparse forward elimination over F_q
+    (``field_affinity_corank``); the minimum over trials is reported.
+
+    Soundness. Where every hyperedge's sampled points are in general
+    position, each block's relations are the values of fixed integer
+    polynomials in the coordinates (Cramer's rule on the lift), so a
+    nonzero minor over F_q is a nonzero polynomial over Q: the corank at
+    the sample is at least the generic corank, over any prime field. A
+    proper sample has corank at least d+1, so a trial that reaches d+1
+    proves generic rigidity: "rigid" rests on exact arithmetic, and the
+    elimination's column order cannot change a rank. What weakens as q
+    shrinks is the chance of a degenerate sample, bounded per trial by
+    (a few minor degrees)/q by the Schwartz-Zippel lemma, below 1e-14 at
+    the default 61-bit prime. It bounds the one-sided "flexible" verdict,
+    which is wrong only if every trial was degenerate and is flagged
+    one-sided; more ``trials`` restore it. It also bounds the one way a
+    "rigid" verdict can fail: a hyperedge whose sampled points are not in
+    general position (say d+1 of them on a hyperplane) carries extra
+    relations and can lower the corank, and only the configuration as a
+    whole is checked to be proper.
     """
     theta = as_hypergraph(structure)
     if d < 1:
@@ -364,6 +415,34 @@ def _perturbed_simplex(d: int, rng: np.random.Generator) -> np.ndarray:
     return simplex + 0.05 * rng.standard_normal(simplex.shape)
 
 
+def _balance(
+    lift: np.ndarray, target: np.ndarray, weights: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights plus the minimum-norm change that balances them, row by row.
+
+    ``lift`` stacks (d+1)×k lifts N = [neighbor coordinates; ones],
+    ``target`` the matching [p; 1] and ``weights`` the k×1 starting rows.
+    Each row gets N⁺(target - N l), from one stacked pseudo-inverse, and
+    counts as balanced when it then meets N l = target to ``tol`` of its
+    scale. Returns the corrected rows and the balanced mask.
+    """
+    corrected = weights + np.linalg.pinv(lift) @ (target - lift @ weights)
+    imbalance = np.abs(lift @ corrected - target).max(axis=(1, 2))
+    scale = np.abs(corrected).sum(axis=(1, 2)) * np.abs(lift).max(axis=(1, 2))
+    return corrected, imbalance <= tol * scale
+
+
+# A barycentric row certifies interiority only if it meets the d+1 balance
+# equations to this share of its scale. A row of the correction must also
+# let its smallest weight clear the caller's floor by this much.
+_BALANCE_TOL = 1e-12
+
+# The same share for the LP's polished rows. It is a separate constant so
+# that setting ``_BALANCE_TOL`` negative sends every row to the LP without
+# making the LP reject them all.
+_LP_BALANCE_TOL = 1e-12
+
+
 def _barycentric_margin(
     point: np.ndarray, hull_points: np.ndarray
 ) -> tuple[float, np.ndarray | None]:
@@ -372,6 +451,13 @@ def _barycentric_margin(
     Solves max t s.t. sum(l_j h_j) = point, sum(l_j) = 1, l_j >= t. A positive
     optimum exhibits the point in the relative interior of the hull; an
     infeasible program means the point is off the hull's affine span.
+
+    HiGHS meets the equality constraints only to its feasibility tolerance,
+    about 1e-7, which would pass a point that far off the hull's affine
+    span. So the LP's weights are polished by the minimum-norm correction
+    of ``_balance`` and kept only if the polished row balances to
+    ``_LP_BALANCE_TOL`` of its scale; its smallest weight is the margin
+    returned, which the caller compares with its floor.
     """
     from scipy.optimize import linprog
 
@@ -396,13 +482,14 @@ def _barycentric_margin(
     )
     if not result.success:
         return -np.inf, None
-    return -result.fun, result.x[:k]
-
-
-# A corrected barycentric row certifies interiority only if it meets the d+1
-# balance equations to this share of its scale and its smallest weight
-# clears the caller's floor by this much.
-_BALANCE_TOL = 1e-12
+    polished, balanced = _balance(
+        a_eq[None, :, :k], b_eq[None, :, None], result.x[None, :k, None],
+        _LP_BALANCE_TOL,
+    )
+    if not balanced[0]:
+        return -np.inf, None
+    weights = polished[0, :, 0]
+    return float(weights.min()), weights
 
 
 def _barycentric_rows(
@@ -417,15 +504,16 @@ def _barycentric_rows(
     uniform at 1/k and receive the minimum-norm correction N⁺r, where N is
     the (d+1)×k lift [neighbor coordinates; ones] and r the residual of the
     balance equations N l = [p; 1], from one stacked pseudo-inverse per
-    degree. A corrected row that balances to ``_BALANCE_TOL`` of its scale
-    and whose smallest weight clears ``floor`` by more than ``_BALANCE_TOL``
-    is a feasible point of the LP in ``_barycentric_margin``: its smallest
-    weight is the margin returned, a lower bound on the LP's optimum, so the
-    LP would pass the test ``margin > floor`` too. The clearance keeps
-    rounding noise on a zero weight (a point on the hull's boundary) from
-    passing for a positive one. Every other row (off the span, on the
-    boundary, of degree 0) gets the LP's margin and weights, so a caller's
-    decision ``margin > floor`` always equals the LP's.
+    degree (``_balance``). A corrected row that balances to
+    ``_BALANCE_TOL`` of its scale and whose smallest weight clears
+    ``floor`` by more than ``_BALANCE_TOL`` is a feasible point of the LP
+    in ``_barycentric_margin``: its smallest weight is the margin returned,
+    a lower bound on the LP's optimum, so the LP would pass the test
+    ``margin > floor`` too. The clearance keeps rounding noise on a zero
+    weight (a point on the hull's boundary) from passing for a positive
+    one. Every other row (off the span, on the boundary, of degree 0) gets
+    the LP's margin and weights, so a caller's decision ``margin > floor``
+    always equals the LP's.
 
     The LP's solver is imported on every call, not on the first fallback:
     importing ``scipy.optimize`` costs about 40 MB and half a second, and a
@@ -448,13 +536,9 @@ def _barycentric_rows(
         target = np.ones((len(rows), d + 1, 1))
         target[:, :d, 0] = coords[[vertices[i] for i in rows]]
         start = np.full((len(rows), k, 1), 1.0 / k)
-        corrected = start + np.linalg.pinv(lift) @ (target - lift @ start)
-        imbalance = np.abs(lift @ corrected - target).max(axis=(1, 2))
-        scale = np.abs(corrected).sum(axis=(1, 2)) * np.abs(lift).max(axis=(1, 2))
+        corrected, balanced = _balance(lift, target, start, _BALANCE_TOL)
         smallest = corrected.min(axis=(1, 2))
-        certified = (imbalance <= _BALANCE_TOL * scale) & (
-            smallest > floor + _BALANCE_TOL
-        )
+        certified = balanced & (smallest > floor + _BALANCE_TOL)
         for row, i in enumerate(rows):
             if certified[row]:
                 margins[i], weights[i] = smallest[row], corrected[row, :, 0]

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria at pinned tolerances.
+"""Acceptance gate: eleven end-to-end criteria at pinned tolerances.
 
 Each test is one criterion; run with ``pytest tests/test_acceptance.py -v``
 for a pass/fail line per criterion. Every criterion finishes in well under
@@ -338,3 +338,27 @@ def test_criterion_10_residual_invariants(budget):
         assert residuals["sparsity"] <= 1e-8
         assert residuals["row_sum"] <= 1e-8
         assert residuals["kernel_residual"] <= 1e-8
+
+
+def glued_neighborhood_tori(m):
+    """Two copies of N(H(m,m)) sharing only vertices 0 and 1: corank d+2."""
+    first = neighborhood_hypergraph(hexagonal_torus(m, m))
+    v = first.vertex_count
+    second = [
+        [u if u < 2 else v + u - 2 for u in h] for h in first.sorted_hyperedges()
+    ]
+    return Hypergraph.from_hyperedges(2 * v - 2, first.sorted_hyperedges() + second)
+
+
+def test_criterion_11_exact_generic_test_at_scale(budget):
+    """The exact F_q test decides v = 1152 and a glued pair of tori."""
+    torus = neighborhood_hypergraph(hexagonal_torus(24, 24))
+    assert torus.vertex_count == 1152
+    verdict = generic_affine_rigidity_test(torus, 2, seed=1)
+    assert (verdict.verdict, verdict.corank) == ("rigid", 3)
+    assert not verdict.one_sided
+
+    glued = glued_neighborhood_tori(12)
+    verdict = generic_affine_rigidity_test(glued, 2, seed=2)
+    assert (verdict.verdict, verdict.corank) == ("flexible", 4)
+    assert verdict.one_sided

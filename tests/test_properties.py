@@ -8,7 +8,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from affrig import rigidity  # noqa: E402
+from affrig import numkernel, rigidity  # noqa: E402
+from affrig.hypergraph import Hypergraph  # noqa: E402
+from test_numkernel import fraction_rank  # noqa: E402
 from test_rigidity import in_hull_lp  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
@@ -84,3 +86,93 @@ class TestBarycentricRowsAgainstLP:
             assert abs(weights.sum() - 1.0) <= 1e-10 * scale
             assert fast_margins[i] == weights.min() > floor
             assert in_hull_lp(point, hull, margin=weights.min() / 2)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices with zero rows, repeated rows or low rank.
+
+    A low-rank one is a product of two random factors; zero rows and copies
+    of existing rows are then added in random positions.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        left = np.array(draw(st.lists(entry, min_size=rows * inner,
+                                      max_size=rows * inner))).reshape(rows, inner)
+        right = np.array(draw(st.lists(entry, min_size=inner * cols,
+                                       max_size=inner * cols))).reshape(inner, cols)
+        m = (left @ right).tolist()
+    else:
+        m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = [0] * cols if draw(st.booleans()) else list(draw(st.sampled_from(m)))
+        m.insert(draw(st.integers(0, len(m))), extra)
+    return m
+
+
+@st.composite
+def integer_frameworks(draw):
+    """A small hypergraph, integer points (often degenerate), a relabelling."""
+    d = draw(st.integers(1, 2))
+    v = draw(st.integers(d + 2, 9))
+    hyperedges = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=2, max_size=v, unique=True),
+        min_size=1, max_size=6,
+    ))
+    coords = [draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+              for _ in range(v)]
+    perm = draw(st.permutations(range(v)))
+    return Hypergraph.from_hyperedges(v, hyperedges), d, coords, perm
+
+
+class TestSparseFieldRank:
+    @PROPERTY_SETTINGS
+    @given(integer_matrices(), st.sampled_from([numkernel.DEFAULT_PRIME,
+                                                numkernel.PRIME_POOL_60BIT[0]]))
+    def test_forward_rank_matches_dense_and_rational(self, rows, q):
+        m = numkernel.PrimeFieldMatrix.from_integers(rows, q)
+        _, pivots = numkernel._reduced_echelon(m)
+        assert numkernel.prime_field_rank(m) == len(pivots) == fraction_rank(rows)
+
+    @PROPERTY_SETTINGS
+    @given(integer_matrices(), st.randoms(use_true_random=False))
+    def test_forward_rank_ignores_row_and_column_order(self, rows, rnd):
+        q = numkernel.DEFAULT_PRIME
+        cols = list(range(len(rows[0])))
+        rnd.shuffle(cols)
+        rnd.shuffle(rows)
+        sparse = [{cols[c]: x % q for c, x in enumerate(row) if x % q} for row in rows]
+        assert numkernel._sparse_rank(sparse, q) == fraction_rank(rows)
+
+    @PROPERTY_SETTINGS
+    @given(integer_frameworks())
+    def test_field_corank_is_invariant_under_relabelling(self, case):
+        theta, d, coords, perm = case
+        q = numkernel.DEFAULT_PRIME
+        corank = rigidity.field_affinity_corank(theta, d, coords, q)
+        relabelled = Hypergraph.from_hyperedges(
+            theta.vertex_count, [[perm[u] for u in h] for h in theta.hyperedges]
+        )
+        moved = [None] * theta.vertex_count
+        for u, point in enumerate(coords):
+            moved[perm[u]] = point
+        assert rigidity.field_affinity_corank(relabelled, d, moved, q) == corank
+        # The dense Gauss-Jordan on the same rows is the oracle.
+        dense = []
+        for h in map(sorted, theta.hyperedges):
+            lift = [[1] * len(h)] + [[coords[u][a] for u in h] for a in range(d)]
+            for vec in numkernel.prime_field_nullspace(
+                numkernel.PrimeFieldMatrix.from_integers(lift, q)
+            ):
+                row = [0] * theta.vertex_count
+                for x, u in zip(vec, h):
+                    row[u] = x
+                dense.append(row)
+        if dense:
+            _, pivots = numkernel._reduced_echelon(
+                numkernel.PrimeFieldMatrix.from_integers(dense, q))
+            assert corank == theta.vertex_count - len(pivots)
+        else:
+            assert corank == theta.vertex_count

@@ -471,9 +471,9 @@ class TestBarycentricCertificate:
         """A nudge moves vertex 7 off its segment, where no row balances.
 
         The correction's least-squares row must not certify it. HiGHS holds
-        the balance equations only to about 1e-7, so the LP itself accepts
-        some nudges that land that close to the segment; whatever it
-        decides, the default path must decide the same.
+        the balance equations only to about 1e-7, so the LP's weights are
+        polished and must then balance too; whatever the LP decides, the
+        default path must decide the same.
         """
         gamma = self._segment_graph()
         with pytest.raises(DegenerateInstanceError):
@@ -485,7 +485,7 @@ class TestBarycentricCertificate:
             except DegenerateInstanceError:
                 return None
 
-        # The LP rejects every nudge at seed 1 and accepts one at seed 5.
+        # The LP rejects every nudge at seeds 1 and 5.
         seeds = (1, 5)
         default = [accepted(seed) for seed in seeds]
         monkeypatch.setattr(rigidity, "_BALANCE_TOL", -1.0)
@@ -494,6 +494,23 @@ class TestBarycentricCertificate:
             assert (ours is None) == (theirs is None)
             if ours is not None:
                 np.testing.assert_array_equal(ours, theirs)
+
+    def test_lp_rows_hold_the_equilibrium_bound(self):
+        """No seed yields a framework whose positive stress is unbalanced.
+
+        Every nudge moves vertex 7 off its segment. HiGHS meets the balance
+        equations only to about 1e-7, so its raw weights would accept some
+        of these seeds with a kernel residual above the 1e-8 bound.
+        """
+        gamma = self._segment_graph()
+        pinned = choose_exceptional(gamma, 2)
+        for seed in range(30):
+            try:
+                fw = rubber_band_embedding(gamma, 2, seed=seed)
+            except DegenerateInstanceError:
+                continue
+            res = stress_residuals(positive_stress(fw, pinned), fw)
+            assert res["kernel_residual"] <= 1e-8, seed
 
     def test_degree_two_vertex_gets_its_segment_weights(self):
         gamma = self._segment_graph()
