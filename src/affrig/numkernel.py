@@ -122,20 +122,44 @@ def numerical_kernel(m, rel_tol: float = DEFAULT_REL_TOL) -> KernelBasis:
         Orthonormal kernel directions as columns, taken from the right
         singular vectors.
     """
-    if not 0 < rel_tol < 1:
-        raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     a = _as_real_matrix(m)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
+        _check_rel_tol(rel_tol)
         return KernelBasis(cols, np.eye(cols), rel_tol, np.zeros(0))
+    s, vt, rank = _stacked_kernels(a, rel_tol)
+    rank = int(rank)
+    # Rank 0 means a zero matrix: a positive largest singular value is above
+    # any cutoff below 1 times itself.
+    basis = np.eye(cols) if rank == 0 else np.ascontiguousarray(vt[rank:].T)
+    return KernelBasis(cols - rank, basis, rel_tol, s)
+
+
+def _check_rel_tol(rel_tol: float) -> None:
+    if not 0 < rel_tol < 1:
+        raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+
+
+def _stacked_kernels(
+    stack: np.ndarray, rel_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernels of a stack of nonempty real matrices from one SVD call.
+
+    ``stack`` has shape (..., rows, cols): one matrix, or any stack of them.
+    Returns the singular values (..., min(rows, cols)), the right factors
+    (..., cols, cols) and the ranks (...). A slice's rank counts its
+    singular values above ``rel_tol`` times its largest, and the rows of
+    its right factor from that rank on are an orthonormal basis of its
+    kernel, except for a zero slice (rank 0), whose kernel is everything.
+    Each slice is factored exactly as a 2-D call on it would be, so its
+    results are bit-identical to that call's.
+    """
+    _check_rel_tol(rel_tol)
+    rows, cols = stack.shape[-2:]
     # A wide matrix needs the full V for its kernel; for a tall or square one
     # the thin SVD already yields all of V, and the full U would be rows×rows.
-    _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
-    sigma_max = float(s[0])
-    if sigma_max == 0.0:
-        return KernelBasis(cols, np.eye(cols), rel_tol, s)
-    rank = int(np.count_nonzero(s > rel_tol * sigma_max))
-    return KernelBasis(cols - rank, np.ascontiguousarray(vt[rank:].T), rel_tol, s)
+    _, s, vt = np.linalg.svd(stack, full_matrices=rows < cols)
+    return s, vt, (s > rel_tol * s[..., :1]).sum(axis=-1)
 
 
 def numerical_rank(m, rel_tol: float = DEFAULT_REL_TOL) -> int:

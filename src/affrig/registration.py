@@ -13,6 +13,7 @@ on the measured squared lengths upgrades the result to a Euclidean one.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +29,12 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, as_hypergraph
 from .numkernel import DEFAULT_REL_TOL
-from .rigidity import Framework, _affinity_from_blocks, _direction_monomials
+from .rigidity import (
+    Framework,
+    _affinity_from_blocks,
+    _blocks_by_size,
+    _direction_monomials,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -126,39 +132,56 @@ class Registration:
 
 def best_fit_affine(
     source: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares affine map source -> target; returns (A, b, max error)."""
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Least-squares affine map source -> target; returns (A, b, max error).
+
+    ``source`` and ``target`` are (k, d) point lists, or stacks (n, k, d) of
+    them fitted independently, which give A (n, d, d), b (n, d) and the
+    errors as an (n,) array. The solve is ``lstsq``'s: the minimal-norm
+    solution, with singular values of the design [source, 1] at most
+    eps * max(k, d+1) times the largest treated as zero.
+    """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
-    ones = np.ones((source.shape[0], 1))
-    design = np.hstack([source, ones])
-    solution, *_ = np.linalg.lstsq(design, target, rcond=None)
-    a = solution[:-1].T
-    b = solution[-1]
-    mapped = source @ a.T + b
-    error = float(np.linalg.norm(mapped - target, axis=1).max())
-    return a, b, error
+    design = np.concatenate([source, np.ones(source.shape[:-1] + (1,))], axis=-1)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    solution = _transposed(vt) @ (inverse[..., None] * (_transposed(u) @ target))
+    a = _transposed(solution[..., :-1, :])
+    b = solution[..., -1, :]
+    return a, b, _max_error(source @ _transposed(a) + b[..., None, :], target)
 
 
 def best_fit_euclidean(
     source: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Best rigid motion (orthogonal map + shift) source -> target.
 
     Reflections are allowed: congruence does not distinguish handedness.
-    Returns (R, t, max pointwise error).
+    Returns (R, t, max pointwise error). Stacks (n, k, d) of point lists are
+    fitted independently, as in ``best_fit_affine``.
     """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
-    src_center = source.mean(axis=0)
-    dst_center = target.mean(axis=0)
-    cross = (target - dst_center).T @ (source - src_center)
+    src_center = source.mean(axis=-2, keepdims=True)
+    dst_center = target.mean(axis=-2, keepdims=True)
+    cross = _transposed(target - dst_center) @ (source - src_center)
     u, _, vt = np.linalg.svd(cross)
     rotation = u @ vt
-    shift = dst_center - rotation @ src_center
-    mapped = source @ rotation.T + shift
-    error = float(np.linalg.norm(mapped - target, axis=1).max())
-    return rotation, shift, error
+    shift = dst_center - src_center @ _transposed(rotation)
+    mapped = source @ _transposed(rotation) + shift
+    return rotation, shift[..., 0, :], _max_error(mapped, target)
+
+
+def _transposed(stack: np.ndarray) -> np.ndarray:
+    return np.swapaxes(stack, -1, -2)
+
+
+def _max_error(mapped: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """Largest pointwise distance per point list; a float for a single list."""
+    error = np.linalg.norm(mapped - target, axis=-1).max(axis=-1)
+    return float(error) if error.ndim == 0 else error
 
 
 def _configuration_from_kernel(basis: np.ndarray, d: int) -> np.ndarray:
@@ -179,28 +202,34 @@ def _diameter(points: np.ndarray) -> float:
     return float(np.linalg.norm(spread))
 
 
+def _scans_by_size(
+    scan_set: ScanSet,
+) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Scan indices, members (n, k) and charts (n, k, d) per scan size k."""
+    return _blocks_by_size((scan.members, scan.coordinates) for scan in scan_set.scans)
+
+
 def _scan_residuals(
     scan_set: ScanSet, config: np.ndarray, gauge: str
 ) -> list[float]:
+    """Each scan's best-fit error against ``config``, over its diameter.
+
+    One stacked fit per scan size; the fit is looked up when called, so a
+    replaced module attribute is the one that runs.
+    """
     fit = best_fit_euclidean if gauge == EUCLIDEAN else best_fit_affine
     scale = max(_diameter(config), 1e-300)
-    residuals = []
-    for scan in scan_set.scans:
-        members = list(scan.members)
-        _, _, error = fit(scan.coordinates, config[members])
-        residuals.append(error / scale)
-    return residuals
+    residuals = np.empty(len(scan_set.scans))
+    for indices, members, charts in _scans_by_size(scan_set):
+        _, _, errors = fit(charts, config[members])
+        residuals[indices] = errors / scale
+    return residuals.tolist()
 
 
-def affine_register(scan_set: ScanSet, rel_tol: float = DEFAULT_REL_TOL) -> Registration:
-    """Recover the configuration up to one global affine transform.
-
-    Assembles the strong affinity matrix from the local charts and reads the
-    configuration off its (d+1)-dimensional kernel. A corank above d+1 means
-    the scan hypergraph is not affinely rigid; a corank below d+1 means the
-    scans are inconsistent beyond ``rel_tol`` (raise the tolerance above the
-    noise floor for noisy charts).
-    """
+def _affine_configuration(
+    scan_set: ScanSet, rel_tol: float
+) -> tuple[np.ndarray, dict]:
+    """The affine-gauge configuration and the diagnostics of its rank decision."""
     v, d = scan_set.vertex_count, scan_set.dim
     missing = set(range(v)) - scan_set.covered_vertices()
     if missing:
@@ -228,8 +257,21 @@ def affine_register(scan_set: ScanSet, rel_tol: float = DEFAULT_REL_TOL) -> Regi
         "kernel_gap": float(singulars[rank] / singulars[0])
         if rank < len(singulars)
         else 0.0,
-        "scan_residuals": _scan_residuals(scan_set, config, AFFINE),
     }
+    return config, diagnostics
+
+
+def affine_register(scan_set: ScanSet, rel_tol: float = DEFAULT_REL_TOL) -> Registration:
+    """Recover the configuration up to one global affine transform.
+
+    Assembles the strong affinity matrix from the local charts and reads the
+    configuration off its (d+1)-dimensional kernel. A corank above d+1 means
+    the scan hypergraph is not affinely rigid; a corank below d+1 means the
+    scans are inconsistent beyond ``rel_tol`` (raise the tolerance above the
+    noise floor for noisy charts).
+    """
+    config, diagnostics = _affine_configuration(scan_set, rel_tol)
+    diagnostics["scan_residuals"] = _scan_residuals(scan_set, config, AFFINE)
     return Registration(config, AFFINE, diagnostics)
 
 
@@ -263,18 +305,22 @@ def remove_affine(
         raise InvalidInputError("remove_affine expects an affine-gauge registration")
     config = registration.config
     v, d = config.shape
-    constraints = []
+    us: list[int] = []
+    ws: list[int] = []
+    squares: list[float] = []
     for u, w, squared in lengths:
         u, w = int(u), int(w)
         if not (0 <= u < v and 0 <= w < v) or u == w:
             raise InvalidInputError(f"bad length pair ({u}, {w})")
-        if not np.isfinite(squared) or squared <= 0:
+        if not math.isfinite(squared) or squared <= 0:
             raise InvalidInputError(f"squared length for ({u}, {w}) must be positive")
-        constraints.append((u, w, float(squared)))
-    if not constraints:
+        us.append(u)
+        ws.append(w)
+        squares.append(float(squared))
+    if not squares:
         raise InvalidInputError("no length constraints given")
 
-    directions = np.array([config[u] - config[w] for u, w, _ in constraints])
+    directions = config[us] - config[ws]
     design = _direction_monomials(directions)
     kernel = numkernel.numerical_kernel(design, rel_tol)
     if kernel.dimension > 0:
@@ -282,7 +328,7 @@ def remove_affine(
             "measured directions lie on a conic at infinity; the Gram fit "
             "is not unique"
         )
-    target = np.array([squared for _, _, squared in constraints])
+    target = np.array(squares)
     conic_margin = float(kernel.singular_values[-1] / kernel.singular_values[0])
     packed = numkernel.least_squares(design, target)
     gram = _symmetric_from_packed(packed, d)
@@ -293,9 +339,7 @@ def remove_affine(
             "lengths are mutually inconsistent"
         )
     upgraded = config @ factor
-    achieved = np.array(
-        [np.sum((upgraded[u] - upgraded[w]) ** 2) for u, w, _ in constraints]
-    )
+    achieved = ((upgraded[us] - upgraded[ws]) ** 2).sum(axis=1)
     diagnostics = dict(registration.diagnostics)
     diagnostics["length_error"] = float((np.abs(achieved - target) / target).max())
     diagnostics["conic_margin"] = conic_margin
@@ -314,17 +358,22 @@ def euclidean_register(
         raise InvalidInputError(
             "euclidean_register needs a scan set with euclidean trust"
         )
-    affine = affine_register(scan_set, rel_tol)
-    lengths: list[tuple[int, int, float]] = []
-    for scan in scan_set.scans:
-        members = scan.members
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                squared = float(
-                    np.sum((scan.coordinates[a] - scan.coordinates[b]) ** 2)
-                )
-                lengths.append((members[a], members[b], squared))
-    upgraded = remove_affine(affine, lengths, rel_tol)
+    config, diagnostics = _affine_configuration(scan_set, rel_tol)
+    # Every pair inside every scan, scans in order, pairs (a, b) with a < b
+    # in member order; the Gram fit is not invariant to reordering its rows.
+    pair_counts = [len(scan.members) * (len(scan.members) - 1) // 2
+                   for scan in scan_set.scans]
+    offsets = np.concatenate([[0], np.cumsum(pair_counts)]).astype(int)
+    pairs = np.empty((offsets[-1], 2), dtype=int)
+    squares = np.empty(offsets[-1])
+    for indices, members, charts in _scans_by_size(scan_set):
+        a, b = np.triu_indices(members.shape[1], 1)
+        rows = offsets[indices][:, None] + np.arange(len(a))
+        pairs[rows, 0] = members[:, a]
+        pairs[rows, 1] = members[:, b]
+        squares[rows] = ((charts[:, a] - charts[:, b]) ** 2).sum(axis=-1)
+    lengths = zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), squares.tolist())
+    upgraded = remove_affine(Registration(config, AFFINE, diagnostics), lengths, rel_tol)
     diagnostics = dict(upgraded.diagnostics)
     diagnostics["scan_residuals"] = _scan_residuals(
         scan_set, upgraded.config, EUCLIDEAN

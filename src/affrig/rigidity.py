@@ -146,9 +146,29 @@ def affine_span_dimension(coordinates, rel_tol: float = DEFAULT_REL_TOL) -> int:
     return numkernel.numerical_rank(centered, rel_tol)
 
 
-def _lift(coords: np.ndarray) -> np.ndarray:
-    """The (d+1)×k matrix [ones; coordinates transposed] of a point list."""
-    return np.vstack([np.ones(coords.shape[0]), coords.T])
+def _blocks_by_size(
+    blocks: Iterable[tuple[Sequence[int], np.ndarray]],
+) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Group (members, chart) blocks by their number of points k.
+
+    Per k: the block indices in order, their members stacked (n, k) and
+    their charts stacked (n, k, d).
+    """
+    groups: dict[int, list[int]] = {}
+    members_of: list[Sequence[int]] = []
+    charts: list[np.ndarray] = []
+    for index, (members, chart) in enumerate(blocks):
+        members_of.append(members)
+        charts.append(chart)
+        groups.setdefault(len(members), []).append(index)
+    return [
+        (
+            indices,
+            np.array([members_of[i] for i in indices]),
+            np.stack([charts[i] for i in indices]),
+        )
+        for indices in groups.values()
+    ]
 
 
 def _affinity_from_blocks(
@@ -161,17 +181,31 @@ def _affinity_from_blocks(
     ``chart[k]`` is the point of ``members[k]`` in any affine chart of the
     block, since affine relations do not depend on the chart. Row provenance
     is the block index.
+
+    The lifts [ones; chart transposed] of all blocks of one size are
+    factored by one stacked SVD, whose slices equal ``numerical_kernel`` on
+    each lift bit for bit; rows are scattered in block order.
     """
-    pieces: list[np.ndarray] = []
-    provenance: list[int] = []
-    for index, (members, chart) in enumerate(blocks):
-        kernel = numkernel.numerical_kernel(_lift(chart), rel_tol)
-        block = np.zeros((kernel.dimension, vertex_count))
-        block[:, list(members)] = kernel.basis.T
-        pieces.append(block)
-        provenance.extend([index] * kernel.dimension)
-    matrix = np.vstack(pieces) if pieces else np.zeros((0, vertex_count))
-    return AffinityMatrix(matrix, tuple(provenance), strong=True)
+    groups = _blocks_by_size(blocks)
+    count = sum(len(indices) for indices, _, _ in groups)
+    dims = np.zeros(count, dtype=int)
+    factored = []
+    for indices, members, charts in groups:
+        ones = np.ones(members.shape + (1,))
+        lifts = np.swapaxes(np.concatenate([ones, charts], axis=-1), -1, -2)
+        _, vt, ranks = numkernel._stacked_kernels(lifts, rel_tol)
+        dims[indices] = members.shape[1] - ranks
+        factored.append((indices, members, vt, ranks))
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    matrix = np.zeros((offsets[-1], vertex_count))
+    for indices, members, vt, ranks in factored:
+        k = members.shape[1]
+        # Row j of a block's right factor is a relation from j = rank on.
+        relation = np.arange(k) >= ranks[:, None]
+        rows = (offsets[indices][:, None] + np.arange(k) - ranks[:, None])[relation]
+        matrix[rows[:, None], members.repeat(dims[indices], axis=0)] = vt[relation]
+    provenance = tuple(np.repeat(np.arange(count), dims).tolist())
+    return AffinityMatrix(matrix, provenance, strong=True)
 
 
 def strong_affinity_matrix(
@@ -283,11 +317,20 @@ def field_affinity_corank(
     d: int,
     coords: list[list[int]],
     q: int = DEFAULT_PRIME,
+    *,
+    require_general_position: bool = False,
 ) -> int:
     """Corank of the strong affinity matrix over F_q, built exactly.
 
     ``coords`` holds one length-d integer tuple per vertex; entries may be
     arbitrary integers and are reduced into the field.
+
+    A hyperedge of k vertices whose lift has rank below min(k, d+1) over
+    F_q, i.e. more than max(0, k-d-1) relations, has its points out of
+    general position (say d+1 of them on a hyperplane). The corank is exact
+    for the given points either way; with ``require_general_position`` such
+    a hyperedge raises ``DegenerateInstanceError`` instead, since the corank
+    of such a sample says nothing about the generic corank.
 
     Each hyperedge's relations, the F_q nullspace of its (d+1)×k lift, are
     written straight into sparse rows and their rank is found by forward
@@ -313,9 +356,15 @@ def field_affinity_corank(
         lift = [[1] * len(members)] + [
             [coords[u][axis] for u in members] for axis in range(d)
         ]
-        for vec in numkernel.prime_field_nullspace(
+        relations = numkernel.prime_field_nullspace(
             numkernel.PrimeFieldMatrix.from_integers(lift, q)
-        ):
+        )
+        if require_general_position and len(relations) > max(0, len(members) - d - 1):
+            raise DegenerateInstanceError(
+                f"hyperedge {members} is not in general position: "
+                f"{len(relations)} affine relations among {len(members)} points"
+            )
+        for vec in relations:
             rows.append({column[u]: x for x, u in zip(vec, members) if x})
     return v - numkernel._sparse_rank(rows, q)
 
@@ -334,23 +383,23 @@ def generic_affine_rigidity_test(
     affinity-matrix corank exactly, by sparse forward elimination over F_q
     (``field_affinity_corank``); the minimum over trials is reported.
 
-    Soundness. Where every hyperedge's sampled points are in general
-    position, each block's relations are the values of fixed integer
-    polynomials in the coordinates (Cramer's rule on the lift), so a
-    nonzero minor over F_q is a nonzero polynomial over Q: the corank at
-    the sample is at least the generic corank, over any prime field. A
-    proper sample has corank at least d+1, so a trial that reaches d+1
-    proves generic rigidity: "rigid" rests on exact arithmetic, and the
-    elimination's column order cannot change a rank. What weakens as q
-    shrinks is the chance of a degenerate sample, bounded per trial by
-    (a few minor degrees)/q by the Schwartz-Zippel lemma, below 1e-14 at
-    the default 61-bit prime. It bounds the one-sided "flexible" verdict,
-    which is wrong only if every trial was degenerate and is flagged
-    one-sided; more ``trials`` restore it. It also bounds the one way a
-    "rigid" verdict can fail: a hyperedge whose sampled points are not in
-    general position (say d+1 of them on a hyperplane) carries extra
-    relations and can lower the corank, and only the configuration as a
-    whole is checked to be proper.
+    Soundness. A sample is redrawn unless the whole configuration is proper
+    and every hyperedge's sampled points are in general position (its lift
+    has full rank min(k, d+1); ``field_affinity_corank`` checks this from
+    the nullspaces it computes anyway). Then each block's relations at the
+    sample are spanned by fixed integer polynomials in the coordinates
+    (Cramer's rule on a maximal minor of the lift that is nonzero there),
+    which are relations of the generic configuration too, so a nonzero
+    minor over F_q is a nonzero polynomial over Q: the corank at the sample
+    is at least the generic corank, over any prime field. The generic
+    corank is at least d+1, so a trial that reaches d+1 proves generic
+    rigidity: "rigid" is exact, and the elimination's column order cannot
+    change a rank. What weakens as q shrinks is the chance of a sample
+    whose corank exceeds the generic one, bounded per trial by (a few minor
+    degrees)/q by the Schwartz-Zippel lemma, below 1e-14 at the default
+    61-bit prime. It bounds the one-sided "flexible" verdict, which is
+    wrong only if every trial drew such a sample and is flagged one-sided;
+    more ``trials`` restore it.
     """
     theta = as_hypergraph(structure)
     if d < 1:
@@ -374,10 +423,17 @@ def generic_affine_rigidity_test(
             full = numkernel.prime_field_rank(
                 numkernel.PrimeFieldMatrix.from_integers(span_lift, q)
             )
-            if full == d + 1:
-                break
-            logger.debug("resampling improper random configuration")
-        corank = field_affinity_corank(theta, d, coords, q)
+            if full != d + 1:
+                logger.debug("resampling improper random configuration")
+                continue
+            try:
+                corank = field_affinity_corank(
+                    theta, d, coords, q, require_general_position=True
+                )
+            except DegenerateInstanceError as error:
+                logger.debug("resampling degenerate random configuration: %s", error)
+                continue
+            break
         assert corank >= d + 1
         best = corank if best is None else min(best, corank)
         if best == d + 1:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -397,3 +398,46 @@ class TestPlumbing:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["type"] == "graph"
+
+    def test_cli_commands_load_no_scipy(self, tmp_path):
+        """zz, both register modes and the framework test import no scipy.
+
+        Importing scipy costs start-up time and memory that none of these
+        commands needs. A fresh interpreter is needed, since this one may
+        have imported scipy already.
+        """
+        torus = neighborhood_hypergraph(hexagonal_torus(3, 3))
+        quads = complete_k_hypergraph(6, 4)
+        framework = generic_framework(torus, 2, seed=3)
+        coords = str(tmp_path / "coords.json")
+        formats.write_document(
+            formats.document_from_coordinates(framework.coordinates), coords)
+        nbh = write_structure(tmp_path, "nbh.json", torus)
+        affine = write_scans(tmp_path, "affine.json", synthetic_scan_set(
+            generic_framework(quads, 2, seed=4), trust="affine", seed=5))
+        euclidean = write_scans(tmp_path, "euclidean.json", synthetic_scan_set(
+            framework, trust="euclidean", seed=6))
+        out = str(tmp_path / "out.json")
+        commands = [
+            ["zz", write_structure(tmp_path, "quads.json", quads), "--dim", "2"],
+            ["register", affine, "--mode", "affine", "-o", out],
+            ["register", euclidean, "--mode", "euclidean", "-o", out],
+            ["test", nbh, "--dim", "2", "--mode", "framework", "--framework", coords],
+        ]
+        script = (
+            "import sys\n"
+            "from affrig.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv + ['--quiet']) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

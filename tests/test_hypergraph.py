@@ -1,12 +1,13 @@
 import inspect
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from affrig.errors import InvalidInputError
-from affrig.families import cycle_graph
+from affrig.families import cycle_graph, hexagonal_torus
 from affrig.hypergraph import (
     Graph,
     Hypergraph,
@@ -280,3 +281,12 @@ class TestZhaZhang:
         assert zha_zhang_condition(
             Hypergraph.from_hyperedges(5, [[0, 1, 2, 3], [1, 2, 3, 4]]), 2
         )
+
+    @pytest.mark.parametrize("d, holds", [(1, True), (2, False)])
+    def test_twenty_thousand_hyperedges(self, d, holds):
+        # N(H(100,100)): 20 000 hyperedges; an all-pairs search compares
+        # 2e8 pairs here.
+        nbh = neighborhood_hypergraph(hexagonal_torus(100, 100))
+        started = time.perf_counter()
+        assert zha_zhang_condition(nbh, d) == holds
+        assert time.perf_counter() - started < 2.0

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from affrig import numkernel, rigidity  # noqa: E402
-from affrig.hypergraph import Hypergraph  # noqa: E402
+from affrig.hypergraph import Hypergraph, zha_zhang_condition  # noqa: E402
 from test_numkernel import fraction_rank  # noqa: E402
 from test_rigidity import in_hull_lp  # noqa: E402
 
@@ -176,3 +176,49 @@ class TestSparseFieldRank:
             assert corank == theta.vertex_count - len(pivots)
         else:
             assert corank == theta.vertex_count
+
+
+def pairwise_overlap_chain(theta, d):
+    """Oracle: search over hyperedges, comparing every pair."""
+    hyperedges = theta.hyperedges
+    if not hyperedges:
+        return False
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j, h in enumerate(hyperedges):
+            if j not in reached and len(hyperedges[i] & h) >= d + 1:
+                reached.add(j)
+                frontier.append(j)
+    return len(reached) == len(hyperedges)
+
+
+@st.composite
+def overlap_hypergraphs(draw):
+    """Hyperedges of d+1 or d+2 vertices, maybe one below d+1, maybe
+    repeats, and maybe one hyperedge over nearly every vertex.
+
+    The raw constructor keeps repeats. The big hyperedge has more
+    (d+1)-subsets than incidences, so it takes the counting route.
+    """
+    d = draw(st.integers(1, 3))
+    v = draw(st.integers(d + 1, 14))
+    vertices = st.integers(0, v - 1)
+    sized = st.sets(vertices, min_size=d + 1, max_size=min(v, d + 2))
+    hyperedges = draw(st.lists(sized, max_size=9))
+    if draw(st.booleans()):
+        hyperedges.append(draw(st.sets(vertices, min_size=1, max_size=d)))
+    if hyperedges:
+        hyperedges += draw(st.lists(st.sampled_from(hyperedges), max_size=2))
+    if draw(st.booleans()):
+        big = draw(st.sets(vertices, min_size=max(1, v - 2)))
+        hyperedges.insert(draw(st.integers(0, len(hyperedges))), big)
+    return Hypergraph(v, tuple(map(frozenset, hyperedges))), d
+
+
+class TestZhaZhangAgainstPairs:
+    @PROPERTY_SETTINGS
+    @given(overlap_hypergraphs())
+    def test_union_find_equals_pairwise_search(self, case):
+        theta, d = case
+        assert zha_zhang_condition(theta, d) == pairwise_overlap_chain(theta, d)

@@ -19,10 +19,17 @@ from affrig.families import (
     trilateration_graph,
 )
 from affrig.hypergraph import Graph, neighborhood_hypergraph
+from affrig.numkernel import least_squares, numerical_kernel, psd_cholesky
 from affrig.registration import (
+    AFFINE,
+    EUCLIDEAN,
     Registration,
     Scan,
     ScanSet,
+    _configuration_from_kernel,
+    _diameter,
+    _scan_residuals,
+    _symmetric_from_packed,
     affine_register,
     best_fit_affine,
     best_fit_euclidean,
@@ -34,6 +41,7 @@ from affrig.numkernel import DEFAULT_REL_TOL
 from affrig.rigidity import (
     Framework,
     _affinity_from_blocks,
+    _direction_monomials,
     affinity_corank,
     conic_at_infinity_test,
     generic_affine_rigidity_test,
@@ -289,6 +297,114 @@ class TestSharedAffinityBuilder:
                 a = from_framework.matrix[provenance == block]
                 b = from_charts.matrix[provenance == block]
                 np.testing.assert_allclose(a.T @ a, b.T @ b, atol=1e-9)
+
+
+def looped_affinity(vertex_count, blocks, rel_tol=DEFAULT_REL_TOL):
+    """Oracle: one ``numerical_kernel`` per block, stacked in block order."""
+    pieces, provenance = [np.zeros((0, vertex_count))], []
+    for index, (members, chart) in enumerate(blocks):
+        lift = np.vstack([np.ones(len(members)), np.asarray(chart, float).T])
+        kernel = numerical_kernel(lift, rel_tol)
+        block = np.zeros((kernel.dimension, vertex_count))
+        block[:, list(members)] = kernel.basis.T
+        pieces.append(block)
+        provenance += [index] * kernel.dimension
+    return np.vstack(pieces), tuple(provenance)
+
+
+def looped_registration(scans):
+    """Oracle: per-block kernels, then per-pair lengths and directions."""
+    v, d = scans.vertex_count, scans.dim
+    matrix, _ = looped_affinity(
+        v, [(scan.members, scan.coordinates) for scan in scans.scans]
+    )
+    config = _configuration_from_kernel(numerical_kernel(matrix).basis, d)
+    if scans.trust == AFFINE:
+        return config
+    lengths = []
+    for scan in scans.scans:
+        c = scan.coordinates
+        for a in range(len(scan.members)):
+            for b in range(a + 1, len(scan.members)):
+                squared = float(np.sum((c[a] - c[b]) ** 2))
+                lengths.append((scan.members[a], scan.members[b], squared))
+    directions = np.array([config[u] - config[w] for u, w, _ in lengths])
+    packed = least_squares(
+        _direction_monomials(directions), [squared for _, _, squared in lengths]
+    )
+    return config @ psd_cholesky(_symmetric_from_packed(packed, d))
+
+
+class TestStackedAgainstLoops:
+    def test_affinity_equals_per_block_kernels(self):
+        rng = np.random.default_rng(41)
+        points = rng.standard_normal((9, 2))
+        points[[5, 6, 7]] = [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]
+        blocks = [
+            ([0, 1, 2, 3], points[[0, 1, 2, 3]]),
+            ([4, 5, 6, 7], points[[4, 5, 6, 7]]),  # 5, 6, 7 collinear
+            ([1, 8], points[[1, 8]]),  # fewer than d+1 points
+            ([2, 3, 4, 5, 6, 8], points[[2, 3, 4, 5, 6, 8]]),
+            ([5, 6, 7], points[[5, 6, 7]]),  # collinear triangle
+            ([0, 8, 3, 1], points[[0, 8, 3, 1]]),
+            ([7], points[[7]]),
+        ]
+        built = _affinity_from_blocks(9, iter(blocks), DEFAULT_REL_TOL)
+        matrix, provenance = looped_affinity(9, blocks)
+        assert np.array_equal(built.matrix, matrix)
+        assert built.row_provenance == provenance
+        assert _affinity_from_blocks(9, [], DEFAULT_REL_TOL).matrix.shape == (0, 9)
+
+    @pytest.mark.parametrize("fit", [best_fit_affine, best_fit_euclidean])
+    def test_stacked_fits_match_single_fits(self, fit):
+        rng = np.random.default_rng(42)
+        source = rng.standard_normal((6, 5, 3))
+        source[2] = np.outer(rng.standard_normal(5), [1.0, 2.0, -1.0])  # collinear
+        source[3, :, 2] = 0.0  # flat
+        target = source @ rng.standard_normal((3, 3)) + 0.01 * rng.standard_normal(
+            (6, 5, 3)
+        )
+        maps, shifts, errors = fit(source, target)
+        assert maps.shape == (6, 3, 3) and shifts.shape == (6, 3)
+        for i in range(6):
+            one_map, one_shift, one_error = fit(source[i], target[i])
+            assert isinstance(one_error, float)
+            np.testing.assert_allclose(maps[i], one_map, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(shifts[i], one_shift, rtol=0, atol=1e-12)
+            assert abs(errors[i] - one_error) <= 1e-12
+            if fit is best_fit_affine:
+                design = np.hstack([source[i], np.ones((5, 1))])
+                solution, *_ = np.linalg.lstsq(design, target[i], rcond=None)
+                np.testing.assert_allclose(one_map, solution[:-1].T, atol=1e-12)
+                np.testing.assert_allclose(one_shift, solution[-1], atol=1e-12)
+
+    @pytest.mark.parametrize("trust", [AFFINE, EUCLIDEAN])
+    @pytest.mark.parametrize(
+        "theta",
+        [neighborhood_hypergraph(hexagonal_torus(6, 6)), complete_k_hypergraph(8, 4)],
+        ids=["N(H(6,6))", "K(8,4)"],
+    )
+    def test_registration_equals_loop_oracle(self, theta, trust):
+        framework = generic_framework(theta, 2, seed=43)
+        scans = synthetic_scan_set(framework, trust=trust, seed=44)
+        register = affine_register if trust == AFFINE else euclidean_register
+        result = register(scans)
+        assert np.array_equal(result.config, looped_registration(scans))
+        truth = framework.coordinates
+        fit = best_fit_affine if trust == AFFINE else best_fit_euclidean
+        # Off the solution, each scan's residual differs: a scan fitted
+        # against another's rows would show.
+        moved = result.config + 1e-3 * np.random.default_rng(45).standard_normal(
+            result.config.shape
+        )
+        residuals = [
+            fit(scan.coordinates, moved[list(scan.members)])[2] / _diameter(moved)
+            for scan in scans.scans
+        ]
+        np.testing.assert_allclose(
+            _scan_residuals(scans, moved, trust), residuals, rtol=1e-10, atol=0
+        )
+        assert fit(truth, result.config)[2] <= 1e-8 * diameter(truth)
 
 
 class TestRemoveAffine:

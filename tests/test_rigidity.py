@@ -1,7 +1,9 @@
 import logging
 import os
+import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,6 +303,30 @@ class TestGenericTest:
             float_corank = affine_rigidity_test(fw).corank
             ints = [[int(x) for x in row] for row in fw.coordinates]
             assert field_affinity_corank(theta, 2, ints) == float_corank
+
+    def test_sample_out_of_general_position_is_redrawn(self, monkeypatch):
+        # Generically flexible (corank 4), but with hyperedge 0 collinear the
+        # sample's corank is 3: a "rigid" read off it would be wrong.
+        theta = Hypergraph.from_hyperedges(6, [[0, 1, 2, 3], [0, 1, 4, 5]])
+        points = [[0, 0], [1, 0], [2, 0], [3, 0], [5, 7], [2, 9]]
+        assert field_affinity_corank(theta, 2, points) == 3
+        with pytest.raises(DegenerateInstanceError):
+            field_affinity_corank(theta, 2, points, require_general_position=True)
+
+        class Scripted(random.Random):
+            """Draws ``points`` first, then uniform residues."""
+
+            def __init__(self, seed=None):
+                super().__init__(seed)
+                self.script = [x for point in points for x in point]
+
+            def randrange(self, *args):
+                return self.script.pop(0) if self.script else super().randrange(*args)
+
+        monkeypatch.setattr(rigidity, "random", SimpleNamespace(Random=Scripted))
+        verdict = generic_affine_rigidity_test(theta, 2, trials=1, seed=0)
+        assert verdict.verdict == FLEXIBLE
+        assert verdict.corank == 4
 
     def test_randomized_prime_pool(self):
         verdict = generic_affine_rigidity_test(
