@@ -17,6 +17,7 @@ from .errors import (
     InvalidInputError,
     NonUniqueTransformError,
     NotAffinelyRigidError,
+    NumericalRankError,
     UnsupportedInstanceError,
 )
 from .hypergraph import (
@@ -75,6 +76,7 @@ __all__ = [
     "InvalidInputError",
     "NonUniqueTransformError",
     "NotAffinelyRigidError",
+    "NumericalRankError",
     "Registration",
     "RigidityVerdict",
     "Scan",

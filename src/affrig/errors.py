@@ -25,6 +25,24 @@ class ImproperFrameworkError(AffrigError):
         )
 
 
+class NumericalRankError(AffrigError):
+    """A float corank below d+1, which no proper framework has in exact arithmetic.
+
+    Rounding noise reached the relative singular-value cutoff: the
+    coordinates are too ill-conditioned for it, or the cutoff is too small.
+    """
+
+    def __init__(self, matrix: str, corank: int, expected: int, rel_tol: float):
+        self.corank = corank
+        self.expected = expected
+        self.rel_tol = rel_tol
+        super().__init__(
+            f"{matrix} has numerical corank {corank}, below d+1 = {expected}, at "
+            f"relative cutoff {rel_tol:g}: rounding noise reaches the cutoff, so "
+            "the coordinates are too ill-conditioned for it or it is too small"
+        )
+
+
 class DegenerateInstanceError(AffrigError):
     """Singular or otherwise unusable instance (e.g. disconnected rubber-band system)."""
 

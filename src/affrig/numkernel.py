@@ -159,13 +159,40 @@ def _stacked_kernels(
     # A wide matrix needs the full V for its kernel; for a tall or square one
     # the thin SVD already yields all of V, and the full U would be rows×rows.
     _, s, vt = np.linalg.svd(stack, full_matrices=rows < cols)
-    return s, vt, (s > rel_tol * s[..., :1]).sum(axis=-1)
+    return s, vt, _rank_above_cutoff(s, rel_tol)
+
+
+def _rank_above_cutoff(s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """How many singular values of each slice exceed ``rel_tol`` times its largest.
+
+    ``s`` is descending along its last axis. Every float rank decision
+    applies this one cutoff.
+    """
+    return (s > rel_tol * s[..., :1]).sum(axis=-1)
+
+
+def singular_value_rank(
+    m, rel_tol: float = DEFAULT_REL_TOL
+) -> tuple[int, np.ndarray]:
+    """Rank and descending singular values of a real matrix, without vectors.
+
+    The rank counts the singular values above ``rel_tol`` times the largest,
+    the cutoff ``numerical_kernel`` applies, so ``cols - rank`` is its kernel
+    dimension. Only the values are computed (LAPACK gesdd with JOBZ='N'), so
+    no workspace is spent on singular vectors that a rank decision never
+    reads. A matrix with no rows or no columns has rank 0 and no values.
+    """
+    a = _as_real_matrix(m)
+    _check_rel_tol(rel_tol)
+    if a.size == 0:
+        return 0, np.zeros(0)
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(_rank_above_cutoff(s, rel_tol)), s
 
 
 def numerical_rank(m, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Column count minus kernel dimension, under the same cutoff."""
-    a = _as_real_matrix(m)
-    return a.shape[1] - numerical_kernel(a, rel_tol).dimension
+    """Rank under the ``numerical_kernel`` cutoff, from singular values alone."""
+    return singular_value_rank(m, rel_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateInstanceError,
     ImproperFrameworkError,
     InvalidInputError,
+    NumericalRankError,
     UnsupportedInstanceError,
 )
 from .hypergraph import (
@@ -171,6 +172,16 @@ def _blocks_by_size(
     ]
 
 
+def _normalized_charts(charts: np.ndarray) -> np.ndarray:
+    """Charts (..., k, d) moved to mean zero and scaled to RMS radius one.
+
+    A chart whose points all coincide is only moved.
+    """
+    centered = charts - charts.mean(axis=-2, keepdims=True)
+    radius = np.sqrt((centered * centered).sum(axis=(-2, -1)) / charts.shape[-2])
+    return centered / np.where(radius > 0, radius, 1.0)[..., None, None]
+
+
 def _affinity_from_blocks(
     vertex_count: int,
     blocks: Iterable[tuple[Sequence[int], np.ndarray]],
@@ -180,7 +191,11 @@ def _affinity_from_blocks(
 
     ``chart[k]`` is the point of ``members[k]`` in any affine chart of the
     block, since affine relations do not depend on the chart. Row provenance
-    is the block index.
+    is the block index. Each chart is therefore first centered and scaled
+    to unit RMS radius, so that the cutoff separates the same relations
+    wherever the block sits and at any scale: a lift of points far from the
+    origin, or of a tiny or huge block, would otherwise lose or gain
+    relations to rounding.
 
     The lifts [ones; chart transposed] of all blocks of one size are
     factored by one stacked SVD, whose slices equal ``numerical_kernel`` on
@@ -192,6 +207,7 @@ def _affinity_from_blocks(
     factored = []
     for indices, members, charts in groups:
         ones = np.ones(members.shape + (1,))
+        charts = _normalized_charts(charts)
         lifts = np.swapaxes(np.concatenate([ones, charts], axis=-1), -1, -2)
         _, vt, ranks = numkernel._stacked_kernels(lifts, rel_tol)
         dims[indices] = members.shape[1] - ranks
@@ -260,23 +276,24 @@ def affine_rigidity_test(
     this one: rigid. Corank above d+1 exhibits an extra kernel direction:
     flexible. Corank below d+1 cannot happen for proper frameworks.
 
-    The matrix is built and factored once; the verdict's ``residuals`` are
-    read from that one SVD and equal ``affinity_residuals`` of the matrix.
+    The matrix is built once and its singular values are computed once,
+    without vectors; the verdict's ``residuals`` take σ_max from them and
+    equal ``affinity_residuals`` of the matrix. A corank below d+1 raises
+    ``NumericalRankError``.
     """
     _require_proper(framework, rel_tol)
     v, d = framework.vertex_count, framework.dim
     affinity = strong_affinity_matrix(framework, rel_tol)
-    kernel = numkernel.numerical_kernel(affinity.matrix, rel_tol)
-    corank = kernel.dimension
-    assert corank >= d + 1, (
-        f"corank {corank} below d+1 = {d + 1} on a proper framework"
-    )
+    rank, singular_values = numkernel.singular_value_rank(affinity.matrix, rel_tol)
+    corank = v - rank
+    if corank < d + 1:
+        raise NumericalRankError("strong affinity matrix", corank, d + 1, rel_tol)
     verdict = RIGID if corank == d + 1 else FLEXIBLE
     certificate = (
         f"strong affinity matrix {affinity.matrix.shape[0]}x{v}, "
-        f"rank {v - corank}, relative cutoff {rel_tol:g}"
+        f"rank {rank}, relative cutoff {rel_tol:g}"
     )
-    residuals = _affinity_residuals(affinity, framework, kernel)
+    residuals = _affinity_residuals(affinity, framework, singular_values)
     return RigidityVerdict(verdict, corank, certificate, False, residuals)
 
 
@@ -779,27 +796,43 @@ def nonsymmetric_stress(
     Row u is a uniformly random unit element of the kernel of the d×deg(u)
     matrix of edge vectors out of u, with the diagonal set to minus the row
     sum; vertices whose edge vectors are linearly independent get a zero row.
+
+    The edge-vector matrices of all vertices of one degree are factored by
+    one stacked SVD, whose slices equal ``numerical_kernel`` on each matrix
+    bit for bit; the random combinations are then drawn in vertex order.
     """
     gamma = framework.structure
     if not isinstance(gamma, Graph):
         raise InvalidInputError("stress construction is defined on graphs")
     rng = np.random.default_rng(seed)
     v = framework.vertex_count
+    coords = framework.coordinates
+    neighbors = [list(gamma.neighbors(u)) for u in range(v)]
+    by_degree: dict[int, list[int]] = {}
+    for u, nbrs in enumerate(neighbors):
+        if nbrs:
+            by_degree.setdefault(len(nbrs), []).append(u)
+    # Orthonormal kernel basis (deg(u), dimension) of each vertex with one.
+    bases: list[np.ndarray | None] = [None] * v
+    for k, vertices in by_degree.items():
+        ends = coords[np.array([neighbors[u] for u in vertices])]
+        edge_vectors = np.swapaxes(ends - coords[vertices, None], -1, -2)
+        _, vt, ranks = numkernel._stacked_kernels(edge_vectors, rel_tol)
+        for u, right, rank in zip(vertices, vt, ranks.tolist()):
+            if rank == 0:
+                # All edge vectors vanish, so every combination balances.
+                bases[u] = np.eye(k)
+            elif rank < k:
+                bases[u] = np.ascontiguousarray(right[rank:].T)
     omega = np.zeros((v, v))
     zero_rows: list[int] = []
-    for u in range(v):
-        nbrs = list(gamma.neighbors(u))
-        if not nbrs:
+    for u, basis in enumerate(bases):
+        if basis is None:
             zero_rows.append(u)
             continue
-        edge_vectors = (framework.coordinates[nbrs] - framework.coordinates[u]).T
-        kernel = numkernel.numerical_kernel(edge_vectors, rel_tol)
-        if kernel.dimension == 0:
-            zero_rows.append(u)
-            continue
-        row = kernel.basis @ rng.standard_normal(kernel.dimension)
+        row = basis @ rng.standard_normal(basis.shape[1])
         row /= np.linalg.norm(row)
-        omega[u, nbrs] = row
+        omega[u, neighbors[u]] = row
         omega[u, u] = -row.sum()
     if zero_rows:
         logger.debug("zero stress rows at vertices %s", zero_rows)
@@ -844,7 +877,10 @@ def neighborhood_affine_rigidity_test(
     neighborhood = Framework(neighborhood_hypergraph(gamma), framework.coordinates)
     affinity = strong_affinity_matrix(neighborhood, rel_tol)
     corank = affinity_corank(affinity, rel_tol)
-    assert corank >= d + 1
+    if corank < d + 1:
+        raise NumericalRankError(
+            "neighborhood affinity matrix", corank, d + 1, rel_tol
+        )
     verdict = RIGID if corank == d + 1 else FLEXIBLE
     certificate = (
         f"stage-1 stress corank {corank1}; neighborhood affinity matrix "
@@ -968,15 +1004,15 @@ def affinity_residuals(
 
     Returns row-sum residual (rows scaled to unit norm), off-support mass,
     and the residual of the lifted coordinate vectors relative to the largest
-    singular value, taken from the ``numerical_kernel`` SVD that
+    singular value, taken from the values-only SVD that
     ``affine_rigidity_test`` decides on, so both report the same numbers.
     """
-    kernel = numkernel.numerical_kernel(affinity.matrix)
-    return _affinity_residuals(affinity, framework, kernel)
+    _, singular_values = numkernel.singular_value_rank(affinity.matrix)
+    return _affinity_residuals(affinity, framework, singular_values)
 
 
 def _affinity_residuals(
-    affinity: AffinityMatrix, framework: Framework, kernel: numkernel.KernelBasis
+    affinity: AffinityMatrix, framework: Framework, singular_values: np.ndarray
 ) -> dict[str, float]:
     theta = as_hypergraph(framework.structure)
     matrix = affinity.matrix
@@ -988,7 +1024,7 @@ def _affinity_residuals(
     # Largest |entry| off the support, without copying the matrix.
     largest = matrix.max(where=outside, initial=0.0)
     smallest = matrix.min(where=outside, initial=0.0)
-    sigma_max = float(kernel.singular_values.max(initial=0.0))
+    sigma_max = float(singular_values.max(initial=0.0))
     return {
         "row_sum": float(ratios.max(initial=0.0)),
         "off_support": float(max(largest, -smallest)),

@@ -19,6 +19,7 @@ from affrig.families import (
     hexagonal_torus,
     path_graph,
     pentagon_hypergraph,
+    wheel_graph,
 )
 from affrig.hypergraph import (
     Graph,
@@ -201,6 +202,34 @@ class TestTest:
         code = main(["test", src, "--dim", "3", "--mode", "framework",
                      "--framework", fw, "--quiet"])
         assert code == 2
+
+    def test_ill_conditioned_framework_exits_2_without_traceback(
+        self, tmp_path, capsys
+    ):
+        # diag(1e4, 1e-4) stretches every chart beyond what the default
+        # cutoff can separate: the float corank falls below d+1.
+        theta = neighborhood_hypergraph(hexagonal_torus(3, 3))
+        coords = generic_framework(theta, 2, seed=3).coordinates @ np.diag(
+            [1e4, 1e-4]
+        )
+        src = write_structure(tmp_path, "nbh.json", theta)
+        fw = str(tmp_path / "coords.json")
+        formats.write_document(formats.document_from_coordinates(coords), fw)
+        assert main(["test", src, "--dim", "2", "--mode", "framework",
+                     "--framework", fw, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affrig: strong affinity matrix has numerical corank")
+        assert "relative cutoff 1e-09" in err
+        assert "Traceback" not in err
+
+    def test_cutoff_below_rounding_exits_2_without_traceback(self, tmp_path, capsys):
+        src = write_structure(tmp_path, "wheel.json", wheel_graph(5))
+        assert main(["test", src, "--dim", "2", "--mode", "neighborhood",
+                     "--tol", "1e-16", "--seed", "1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affrig: neighborhood affinity matrix")
+        assert "relative cutoff 1e-16" in err
+        assert "Traceback" not in err
 
     def test_framework_mode_needs_file(self, tmp_path):
         src = write_structure(tmp_path, "fig1.json", fig1_hypergraph())

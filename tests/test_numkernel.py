@@ -17,6 +17,7 @@ from affrig.numkernel import (
     prime_field_nullspace,
     prime_field_rank,
     psd_cholesky,
+    singular_value_rank,
 )
 
 
@@ -137,6 +138,58 @@ class TestNumericalKernel:
         np.testing.assert_allclose(
             k.basis @ k.basis.T, oracle_kernel @ oracle_kernel.T, atol=1e-10
         )
+
+
+class TestSingularValueRank:
+    def test_rank_and_values_match_the_kernel(self):
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            rows, cols, inner = rng.integers(1, 12, size=3)
+            a = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+            rank, values = singular_value_rank(a)
+            kernel = numerical_kernel(a)
+            assert rank == cols - kernel.dimension == min(rows, cols, inner)
+            np.testing.assert_allclose(
+                values, kernel.singular_values, rtol=0,
+                atol=1e-12 * kernel.singular_values[0],
+            )
+
+    def test_asks_for_no_vectors(self, monkeypatch):
+        svd = np.linalg.svd
+        requested = []
+
+        def spy(matrix, *args, **kwargs):
+            requested.append(kwargs.get("compute_uv", True))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert singular_value_rank(np.eye(4))[0] == 4
+        assert numerical_rank(np.ones((3, 5))) == 1
+        assert requested == [False, False]
+
+    def test_empty_and_zero_matrices(self):
+        for shape in [(0, 4), (3, 0), (0, 0)]:
+            rank, values = singular_value_rank(np.zeros(shape))
+            assert rank == 0 and values.shape == (0,)
+        rank, values = singular_value_rank(np.zeros((2, 3)))
+        assert rank == 0
+        np.testing.assert_array_equal(values, [0.0, 0.0])
+
+    def test_same_cutoff_as_the_kernel(self):
+        # sigma = 1, 1e-5, 1e-12: the cutoff falls between the last two by
+        # default and above the middle one at rel_tol = 1e-4.
+        a = np.diag([1.0, 1e-5, 1e-12])
+        for rel_tol, rank in [(1e-9, 2), (1e-4, 1), (1e-13, 3)]:
+            assert singular_value_rank(a, rel_tol)[0] == rank
+            assert numerical_kernel(a, rel_tol).dimension == 3 - rank
+
+    def test_rejects_bad_tol_and_nan(self):
+        with pytest.raises(InvalidInputError):
+            singular_value_rank(np.eye(2), rel_tol=0.0)
+        with pytest.raises(InvalidInputError):
+            singular_value_rank(np.zeros((0, 2)), rel_tol=1.0)
+        with pytest.raises(InvalidInputError):
+            singular_value_rank([[1.0, np.inf]])
 
 
 class TestPrimality:

@@ -9,7 +9,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from affrig import numkernel, rigidity  # noqa: E402
-from affrig.hypergraph import Hypergraph, zha_zhang_condition  # noqa: E402
+from affrig.families import (  # noqa: E402
+    complete_graph,
+    cycle_graph,
+    generic_framework,
+    hexagonal_torus,
+    trilateration_graph,
+    wheel_graph,
+)
+from affrig.hypergraph import (  # noqa: E402
+    Graph,
+    Hypergraph,
+    neighborhood_hypergraph,
+    zha_zhang_condition,
+)
 from test_numkernel import fraction_rank  # noqa: E402
 from test_rigidity import in_hull_lp  # noqa: E402
 
@@ -222,3 +235,101 @@ class TestZhaZhangAgainstPairs:
     def test_union_find_equals_pairwise_search(self, case):
         theta, d = case
         assert zha_zhang_condition(theta, d) == pairwise_overlap_chain(theta, d)
+
+
+# Small graphs, rigid and flexible, for the float rank tests.
+GRAPHS = {
+    "trilateration": lambda d, n, seed: trilateration_graph(d + 2 + n, d, seed=seed),
+    "wheel": lambda d, n, seed: wheel_graph(4 + n % 5),
+    "torus": lambda d, n, seed: hexagonal_torus(3, 3),
+    "cycle": lambda d, n, seed: cycle_graph(d + 3 + n % 5),
+    "complete": lambda d, n, seed: complete_graph(d + 2 + n % 3),
+}
+
+
+@st.composite
+def graph_frameworks(draw):
+    """A small graph with gaussian coordinates in d = 1, 2 or 3."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2**16))
+    graph = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))](d, n, seed)
+    return generic_framework(graph, d, seed=seed)
+
+
+def decide(mode, framework):
+    """(verdict, corank) of the framework test on N(Γ) or the neighborhood test."""
+    if mode == "framework":
+        result = rigidity.affine_rigidity_test(rigidity.Framework(
+            neighborhood_hypergraph(framework.structure), framework.coordinates))
+    else:
+        result = rigidity.neighborhood_affine_rigidity_test(framework, seed=1)
+    return result.verdict, result.corank
+
+
+def unit_vector(rng, d):
+    direction = rng.standard_normal(d)
+    return direction / np.linalg.norm(direction)
+
+
+MODES = ["framework", "neighborhood"]
+
+
+class TestFloatRankInvariance:
+    """Corank and verdict depend on neither labels nor placement.
+
+    Each holds in exact arithmetic; the float tests must keep them for
+    translations up to 1e8, scales from 1e-9 to 1e8 and affine maps of
+    condition number up to 1e3.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    @PROPERTY_SETTINGS
+    @given(framework=graph_frameworks(), data=st.data())
+    def test_relabelling(self, mode, framework, data):
+        gamma = framework.structure
+        perm = data.draw(st.permutations(range(gamma.vertex_count)))
+        relabelled = Graph.from_edges(
+            gamma.vertex_count, [(perm[u], perm[w]) for u, w in gamma.sorted_edges()]
+        )
+        moved = np.empty_like(framework.coordinates)
+        moved[perm] = framework.coordinates
+        assert decide(mode, rigidity.Framework(relabelled, moved)) == decide(
+            mode, framework)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @PROPERTY_SETTINGS
+    @given(framework=graph_frameworks(), exponent=st.floats(0, 8),
+           seed=st.integers(0, 2**16))
+    def test_translation(self, mode, framework, exponent, seed):
+        offset = 10.0**exponent * unit_vector(
+            np.random.default_rng(seed), framework.dim)
+        moved = rigidity.Framework(framework.structure, framework.coordinates + offset)
+        assert decide(mode, moved) == decide(mode, framework)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @PROPERTY_SETTINGS
+    @given(framework=graph_frameworks(), exponent=st.floats(-9, 8))
+    def test_scaling(self, mode, framework, exponent):
+        scaled = rigidity.Framework(
+            framework.structure, framework.coordinates * 10.0**exponent)
+        assert decide(mode, scaled) == decide(mode, framework)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @PROPERTY_SETTINGS
+    @given(framework=graph_frameworks(), log_condition=st.floats(0, 3),
+           seed=st.integers(0, 2**16))
+    def test_affine_map(self, mode, framework, log_condition, seed):
+        rng = np.random.default_rng(seed)
+        d = framework.dim
+        left, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        right, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        # Singular values from 1 to 10^log_condition, both ends included.
+        stretch = 10.0 ** (log_condition * np.linspace(0.0, 1.0, d))
+        linear = left @ np.diag(rng.permutation(stretch)) @ right
+        assert np.linalg.cond(linear) <= 1e3 * (1 + 1e-9)
+        mapped = rigidity.Framework(
+            framework.structure,
+            framework.coordinates @ linear.T + 10.0 * rng.standard_normal(d),
+        )
+        assert decide(mode, mapped) == decide(mode, framework)

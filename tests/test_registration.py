@@ -164,6 +164,18 @@ class TestAffineRegister:
         _, _, error = best_fit_affine(framework.coordinates, result.config)
         assert error <= 1e-7 * diameter(result.config)
 
+    @pytest.mark.parametrize("shift", [1e4, 1e6])
+    def test_scans_far_from_the_origin(self, shift):
+        # Charts sitting far from their origin still give corank d+1, since
+        # each is centered and scaled before its relations are read.
+        gamma = hexagonal_torus(6, 6)
+        framework = generic_framework(gamma, 2, seed=3)
+        moved = Framework(neighborhood_hypergraph(gamma), framework.coordinates + shift)
+        result = affine_register(synthetic_scan_set(moved, seed=4))
+        assert result.diagnostics["corank"] == 3
+        _, _, error = best_fit_affine(framework.coordinates, result.config)
+        assert error <= 1e-7 * diameter(result.config)
+
     def test_recharting_changes_output_only_affinely(self):
         framework = rigid_scan_source(seed=41)
         configs = []
@@ -300,10 +312,19 @@ class TestSharedAffinityBuilder:
 
 
 def looped_affinity(vertex_count, blocks, rel_tol=DEFAULT_REL_TOL):
-    """Oracle: one ``numerical_kernel`` per block, stacked in block order."""
+    """Oracle: one ``numerical_kernel`` per block, stacked in block order.
+
+    Each chart is centered and scaled to unit RMS radius first (a chart of
+    coincident points is only centered), as `_affinity_from_blocks` does.
+    """
     pieces, provenance = [np.zeros((0, vertex_count))], []
     for index, (members, chart) in enumerate(blocks):
-        lift = np.vstack([np.ones(len(members)), np.asarray(chart, float).T])
+        chart = np.asarray(chart, float)
+        centered = chart - chart.mean(axis=0)
+        radius = np.sqrt(np.sum(centered * centered) / len(members))
+        if radius > 0:
+            centered = centered / radius
+        lift = np.vstack([np.ones(len(members)), centered.T])
         kernel = numerical_kernel(lift, rel_tol)
         block = np.zeros((kernel.dimension, vertex_count))
         block[:, list(members)] = kernel.basis.T

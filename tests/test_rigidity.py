@@ -14,11 +14,13 @@ from affrig.errors import (
     DegenerateInstanceError,
     ImproperFrameworkError,
     InvalidInputError,
+    NumericalRankError,
     UnsupportedInstanceError,
 )
 from affrig.families import (
     complete_graph,
     complete_k_hypergraph,
+    cycle_graph,
     fig1_hypergraph,
     generic_framework,
     hexagonal_torus,
@@ -33,7 +35,12 @@ from affrig.hypergraph import (
     neighborhood_hypergraph,
     squared_graph,
 )
-from affrig.numkernel import numerical_kernel, numerical_rank
+from affrig.numkernel import (
+    DEFAULT_REL_TOL,
+    numerical_kernel,
+    numerical_rank,
+    singular_value_rank,
+)
 from affrig.rigidity import (
     FLEXIBLE,
     RIGID,
@@ -65,6 +72,82 @@ BARBELL = Graph.from_edges(
 )
 
 
+def looped_stress(framework, seed, rel_tol=DEFAULT_REL_TOL):
+    """Oracle: one ``numerical_kernel`` per vertex, drawn in vertex order."""
+    gamma = framework.structure
+    rng = np.random.default_rng(seed)
+    v = framework.vertex_count
+    omega = np.zeros((v, v))
+    zero_rows = []
+    for u in range(v):
+        nbrs = list(gamma.neighbors(u))
+        if not nbrs:
+            zero_rows.append(u)
+            continue
+        edge_vectors = (framework.coordinates[nbrs] - framework.coordinates[u]).T
+        kernel = numerical_kernel(edge_vectors, rel_tol)
+        if kernel.dimension == 0:
+            zero_rows.append(u)
+            continue
+        row = kernel.basis @ rng.standard_normal(kernel.dimension)
+        row /= np.linalg.norm(row)
+        omega[u, nbrs] = row
+        omega[u, u] = -row.sum()
+    return omega, tuple(zero_rows)
+
+
+def svd_requests(monkeypatch):
+    """Record (shape, compute_uv) of every SVD numpy is asked for.
+
+    The implementing module is patched too: matrix norms look svd up there.
+    """
+    requests = []
+    svd = np.linalg.svd
+
+    def spy(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+        requests.append((np.shape(a), compute_uv))
+        return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+    implementation = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    for module in (np.linalg, implementation):
+        monkeypatch.setattr(module, "svd", spy)
+    return requests
+
+
+# One framework per test family: hypergraphs, and graphs with their
+# neighborhood hypergraphs, rigid and flexible, in d = 1, 2, 3.
+RANK_FAMILIES = {
+    "fig1": (fig1_hypergraph(), 2),
+    "pentagon": (pentagon_hypergraph(), 2),
+    "K84": (complete_k_hypergraph(8, 4), 2),
+    "K85": (complete_k_hypergraph(8, 5), 3),
+    "H33": (hexagonal_torus(3, 3), 2),
+    "H66": (hexagonal_torus(6, 6), 2),
+    "tri40": (trilateration_graph(40, 2, seed=5), 2),
+    "tri30-3d": (trilateration_graph(30, 3, seed=6), 3),
+    "wheel6": (wheel_graph(6), 2),
+    "star5": (star_graph(5), 2),
+    "K6-3d": (complete_graph(6), 3),
+    "cycle9-1d": (cycle_graph(9), 1),
+    "bowtie": (BOWTIE, 2),
+    "barbell": (BARBELL, 2),
+}
+GRAPH_FAMILIES = {
+    name: family for name, family in RANK_FAMILIES.items()
+    if isinstance(family[0], Graph)
+}
+
+
+def rank_decision_matrices(structure, d, seed):
+    """Every matrix a float rank decision is made on for one framework."""
+    fw = generic_framework(structure, d, seed=seed)
+    yield fw.coordinates - fw.coordinates.mean(axis=0)
+    if isinstance(structure, Graph):
+        yield nonsymmetric_stress(fw, seed=seed).matrix
+        structure = neighborhood_hypergraph(structure)
+    yield strong_affinity_matrix(Framework(structure, fw.coordinates)).matrix
+
+
 def in_hull_lp(point, hull_points, margin=1e-9):
     """Independent strict-containment oracle: feasibility with floored weights."""
     from scipy.optimize import linprog
@@ -80,6 +163,45 @@ def in_hull_lp(point, hull_points, margin=1e-9):
         method="highs",
     )
     return res.success
+
+
+class TestValuesOnlyRankDecisions:
+    @pytest.mark.parametrize(
+        "structure, d", RANK_FAMILIES.values(), ids=RANK_FAMILIES.keys()
+    )
+    def test_rank_and_values_match_the_vector_svd(self, structure, d):
+        for seed in (1, 2):
+            for matrix in rank_decision_matrices(structure, d, seed):
+                rank, values = singular_value_rank(matrix)
+                kernel = numerical_kernel(matrix)
+                assert rank == matrix.shape[1] - kernel.dimension
+                assert numerical_rank(matrix) == rank
+                np.testing.assert_allclose(
+                    values, kernel.singular_values, rtol=0,
+                    atol=1e-12 * kernel.singular_values.max(initial=0.0),
+                )
+
+    @pytest.mark.parametrize(
+        "graph, neighborhood_mode, stage",
+        [(hexagonal_torus(3, 3), False, None), (hexagonal_torus(3, 3), True, 1),
+         (BARBELL, True, 2)],
+        ids=["framework", "neighborhood-stage-1", "neighborhood-stage-2"],
+    )
+    def test_no_singular_vectors_of_v_columns(
+        self, monkeypatch, graph, neighborhood_mode, stage
+    ):
+        fw = generic_framework(graph, 2, seed=3)
+        requests = svd_requests(monkeypatch)
+        if neighborhood_mode:
+            verdict = neighborhood_affine_rigidity_test(fw, seed=3)
+            assert f"stage {stage}" in verdict.certificate
+        else:
+            affine_rigidity_test(
+                Framework(neighborhood_hypergraph(graph), fw.coordinates)
+            )
+        v = graph.vertex_count
+        decided = [uv for shape, uv in requests if shape[-1] == v]
+        assert decided and not any(decided), requests
 
 
 class TestFramework:
@@ -269,6 +391,31 @@ class TestAffineRigidityTest:
         fw = generic_framework(pentagon_hypergraph(), 2, seed=11)
         verdict = affine_rigidity_test(fw, rel_tol=1e-8)
         assert "1e-08" in verdict.certificate
+
+    @pytest.mark.parametrize(
+        "m, shift, scale",
+        [(6, 1e4, 1.0), (12, 1e4, 1.0), (3, 1e5, 1.0), (6, 1e8, 1.0),
+         (6, 0.0, 1e8), (6, 0.0, 1e-9)],
+    )
+    def test_corank_does_not_depend_on_placement(self, m, shift, scale):
+        # Each hyperedge's chart is centered and scaled before its relations
+        # are read, so far-off or tiny configurations keep corank d+1.
+        theta = neighborhood_hypergraph(hexagonal_torus(m, m))
+        coords = generic_framework(theta, 2, seed=1).coordinates
+        verdict = affine_rigidity_test(Framework(theta, coords * scale + shift))
+        assert (verdict.verdict, verdict.corank) == (RIGID, 3)
+
+    @pytest.mark.parametrize(
+        "stretch, rel_tol", [((1e4, 1e-4), DEFAULT_REL_TOL), ((1.0, 1.0), 1e-16)]
+    )
+    def test_corank_below_d_plus_one_is_an_error(self, stretch, rel_tol):
+        theta = neighborhood_hypergraph(hexagonal_torus(3, 3))
+        coords = generic_framework(theta, 2, seed=3).coordinates @ np.diag(stretch)
+        with pytest.raises(NumericalRankError) as info:
+            affine_rigidity_test(Framework(theta, coords), rel_tol=rel_tol)
+        assert info.value.corank < info.value.expected == 3
+        assert info.value.rel_tol == rel_tol
+        assert f"relative cutoff {rel_tol:g}" in str(info.value)
 
 
 class TestGenericTest:
@@ -628,6 +775,30 @@ class TestNonsymmetricStress:
         b = nonsymmetric_stress(fw, seed=34)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize(
+        "structure, d", GRAPH_FAMILIES.values(), ids=GRAPH_FAMILIES.keys()
+    )
+    def test_stacked_equals_per_vertex_loop(self, structure, d):
+        fw = generic_framework(structure, d, seed=36)
+        # Half the vertices on one point: rank-0 edge vectors, and rows
+        # whose kernel grows past the generic one.
+        piled = fw.coordinates.copy()
+        piled[: structure.vertex_count // 2] = piled[0]
+        cases = [(fw, DEFAULT_REL_TOL), (fw, 1e-3),
+                 (Framework(structure, piled), DEFAULT_REL_TOL)]
+        for framework, rel_tol in cases:
+            stress = nonsymmetric_stress(framework, seed=37, rel_tol=rel_tol)
+            matrix, zero_rows = looped_stress(framework, 37, rel_tol)
+            assert np.array_equal(stress.matrix, matrix)
+            assert stress.zero_rows == zero_rows
+
+    def test_isolated_vertex_gets_a_zero_row(self):
+        gamma = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+        fw = generic_framework(gamma, 2, seed=38)
+        stress = nonsymmetric_stress(fw, seed=39)
+        assert 4 in stress.zero_rows
+        assert np.array_equal(stress.matrix, looped_stress(fw, 39)[0])
+
     def test_rejects_hypergraph(self):
         fw = generic_framework(pentagon_hypergraph(), 2, seed=35)
         with pytest.raises(InvalidInputError):
@@ -712,6 +883,15 @@ class TestNeighborhoodTest:
         collinear = np.array([[float(i), float(i)] for i in range(5)])
         with pytest.raises(ImproperFrameworkError):
             neighborhood_affine_rigidity_test(Framework(BOWTIE, collinear))
+
+    def test_corank_below_d_plus_one_is_an_error(self):
+        # At a cutoff below rounding noise, stage 1 misses corank d+1 and
+        # stage 2 finds fewer than d+1 kernel directions.
+        fw = generic_framework(wheel_graph(5), 2, seed=47)
+        with pytest.raises(NumericalRankError) as info:
+            neighborhood_affine_rigidity_test(fw, rel_tol=1e-16, seed=47)
+        assert "neighborhood affinity matrix" in str(info.value)
+        assert info.value.corank < 3
 
     def test_rejects_hypergraph(self):
         fw = generic_framework(pentagon_hypergraph(), 2, seed=46)
