@@ -12,10 +12,9 @@ on the measured squared lengths upgrades the result to a Euclidean one.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,10 +32,9 @@ from .rigidity import (
     Framework,
     _affinity_from_blocks,
     _blocks_by_size,
-    _direction_monomials,
+    _conic_system,
+    _require_vertices,
 )
-
-logger = logging.getLogger(__name__)
 
 AFFINE = "affine"
 EUCLIDEAN = "euclidean"
@@ -234,8 +232,7 @@ def _affine_configuration(
     missing = set(range(v)) - scan_set.covered_vertices()
     if missing:
         raise InvalidInputError(f"vertices {sorted(missing)} appear in no scan")
-    if v < d + 1:
-        raise InvalidInputError(f"need at least d+1 = {d + 1} vertices, got {v}")
+    _require_vertices(v, d)
     affinity = _affinity_from_blocks(
         v, ((scan.members, scan.coordinates) for scan in scan_set.scans), rel_tol
     )
@@ -297,9 +294,10 @@ def remove_affine(
     the measured squared lengths, then applies a Cholesky-type factor of G.
     The fit is unique exactly when the measured directions do not lie on a
     conic at infinity, i.e. when its monomial system (one row per measured
-    pair, repeats included) has no numerical kernel. One SVD of that system
-    decides this and gives the ``conic_margin`` diagnostic, its relative
-    smallest singular value (no guarantee beyond that for noisy data).
+    pair, repeats included) has no numerical kernel, decided as in
+    ``conic_at_infinity_test``; the ``conic_margin`` diagnostic is its
+    relative smallest singular value (no guarantee beyond that for noisy
+    data).
     """
     if registration.gauge != AFFINE:
         raise InvalidInputError("remove_affine expects an affine-gauge registration")
@@ -320,16 +318,13 @@ def remove_affine(
     if not squares:
         raise InvalidInputError("no length constraints given")
 
-    directions = config[us] - config[ws]
-    design = _direction_monomials(directions)
-    kernel = numkernel.numerical_kernel(design, rel_tol)
-    if kernel.dimension > 0:
+    design, conic_margin = _conic_system(config[us] - config[ws], rel_tol)
+    if conic_margin is None:
         raise NonUniqueTransformError(
             "measured directions lie on a conic at infinity; the Gram fit "
             "is not unique"
         )
     target = np.array(squares)
-    conic_margin = float(kernel.singular_values[-1] / kernel.singular_values[0])
     packed = numkernel.least_squares(design, target)
     gram = _symmetric_from_packed(packed, d)
     factor = numkernel.psd_cholesky(gram)

@@ -235,11 +235,8 @@ def strong_affinity_matrix(
     nothing. Rows are unit norm (they come from an orthonormal kernel basis).
     """
     theta = as_hypergraph(framework.structure)
-    v, d = framework.vertex_count, framework.dim
-    if v < d + 1:
-        raise UnsupportedInstanceError(
-            f"need at least d+1 = {d + 1} vertices, got {v}"
-        )
+    v = framework.vertex_count
+    _require_vertices(v, framework.dim)
     blocks = [
         (members, framework.coordinates[members])
         for members in map(sorted, theta.hyperedges)
@@ -255,15 +252,26 @@ def affinity_corank(
     return v - numkernel.numerical_rank(affinity.matrix, rel_tol)
 
 
-def _require_proper(framework: Framework, rel_tol: float) -> None:
-    v, d = framework.vertex_count, framework.dim
+def _require_vertices(v: int, d: int) -> None:
     if v < d + 1:
         raise UnsupportedInstanceError(
             f"need at least d+1 = {d + 1} vertices, got {v}"
         )
+
+
+def _require_proper(framework: Framework, rel_tol: float) -> None:
+    d = framework.dim
+    _require_vertices(framework.vertex_count, d)
     span = affine_span_dimension(framework.coordinates, rel_tol)
     if span < d:
         raise ImproperFrameworkError(span, d)
+
+
+def _verdict(what: str, corank: int, d: int, rel_tol: float) -> str:
+    """Rigid at corank d+1, flexible above; below, an error naming ``what``."""
+    if corank < d + 1:
+        raise NumericalRankError(what, corank, d + 1, rel_tol)
+    return RIGID if corank == d + 1 else FLEXIBLE
 
 
 def affine_rigidity_test(
@@ -286,9 +294,7 @@ def affine_rigidity_test(
     affinity = strong_affinity_matrix(framework, rel_tol)
     rank, singular_values = numkernel.singular_value_rank(affinity.matrix, rel_tol)
     corank = v - rank
-    if corank < d + 1:
-        raise NumericalRankError("strong affinity matrix", corank, d + 1, rel_tol)
-    verdict = RIGID if corank == d + 1 else FLEXIBLE
+    verdict = _verdict("strong affinity matrix", corank, d, rel_tol)
     certificate = (
         f"strong affinity matrix {affinity.matrix.shape[0]}x{v}, "
         f"rank {rank}, relative cutoff {rel_tol:g}"
@@ -424,10 +430,7 @@ def generic_affine_rigidity_test(
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     v = theta.vertex_count
-    if v < d + 1:
-        raise UnsupportedInstanceError(
-            f"need at least d+1 = {d + 1} vertices, got {v}"
-        )
+    _require_vertices(v, d)
     rng = random.Random(seed)
     best: int | None = None
     moduli: list[int] = []
@@ -471,12 +474,22 @@ def generic_affine_rigidity_test(
 
 def choose_exceptional(gamma: Graph, d: int) -> tuple[int, ...]:
     """The d+1 pinned vertices: highest degree first, ties by index."""
-    if gamma.vertex_count < d + 1:
-        raise UnsupportedInstanceError(
-            f"need at least d+1 = {d + 1} vertices, got {gamma.vertex_count}"
-        )
+    _require_vertices(gamma.vertex_count, d)
     ranked = sorted(range(gamma.vertex_count), key=lambda u: (-gamma.degree(u), u))
     return tuple(sorted(ranked[: d + 1]))
+
+
+def _pinned_set(exceptional: Iterable[int], v: int, d: int) -> tuple[int, ...]:
+    """An exceptional set checked to be d+1 distinct vertices in range."""
+    pinned = tuple(int(u) for u in exceptional)
+    if len(pinned) != d + 1 or len(set(pinned)) != d + 1:
+        raise InvalidInputError(
+            f"exceptional set must contain d+1 = {d + 1} distinct vertices"
+        )
+    for u in pinned:
+        if not 0 <= u < v:
+            raise InvalidInputError(f"exceptional vertex {u} out of range")
+    return pinned
 
 
 def _perturbed_simplex(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -665,21 +678,11 @@ def rubber_band_embedding(
     if not isinstance(gamma, Graph):
         raise InvalidInputError("rubber-band relaxation is defined on graphs")
     v = gamma.vertex_count
-    if v < d + 1:
-        raise UnsupportedInstanceError(
-            f"need at least d+1 = {d + 1} vertices, got {v}"
-        )
+    _require_vertices(v, d)
     if exceptional == "auto":
         pinned = choose_exceptional(gamma, d)
     else:
-        pinned = tuple(int(u) for u in exceptional)
-        if len(set(pinned)) != d + 1:
-            raise InvalidInputError(
-                f"exceptional set must contain d+1 = {d + 1} distinct vertices"
-            )
-        for u in pinned:
-            if not 0 <= u < v:
-                raise InvalidInputError(f"exceptional vertex {u} out of range")
+        pinned = _pinned_set(exceptional, v, d)
     rng = np.random.default_rng(seed)
     pins = _perturbed_simplex(d, rng)
 
@@ -769,7 +772,7 @@ def positive_stress(
     if not isinstance(gamma, Graph):
         raise InvalidInputError("positive stresses are defined on graphs")
     v = framework.vertex_count
-    pinned = set(exceptional)
+    pinned = _pinned_set(exceptional, v, framework.dim)
     interior = [u for u in range(v) if u not in pinned]
     neighbor_lists = [list(gamma.neighbors(u)) for u in interior]
     margins, rows = _barycentric_rows(
@@ -852,13 +855,14 @@ def neighborhood_affine_rigidity_test(
 ) -> RigidityVerdict:
     """Affine rigidity of (p, N(Γ)): stress shortcut first, rank test second.
 
-    Stage 1 draws one random non-symmetric stress; corank d+1 certifies
-    rigidity immediately. Otherwise stage 2 computes the corank of the
-    strong affinity matrix of the neighborhood hypergraph, which settles the
-    verdict either way. Every row of a non-symmetric stress is an affine
-    relation among one closed neighborhood, so it already lies in that
-    matrix's row space: stacking further stresses onto it leaves the corank
-    unchanged, and none are drawn.
+    Stage 1 draws one random non-symmetric stress and decides its corank by
+    the rule of ``affine_rigidity_test``: d+1 certifies rigidity at once,
+    and below d+1 raises ``NumericalRankError`` before any stage-2 work.
+    Above d+1, stage 2 decides the corank of the strong affinity matrix of
+    the neighborhood hypergraph by the same rule. Every row of a
+    non-symmetric stress is an affine relation among one closed
+    neighborhood, so it already lies in that matrix's row space: stacking
+    further stresses onto it leaves the corank unchanged, and none are drawn.
     """
     gamma = framework.structure
     if not isinstance(gamma, Graph):
@@ -868,7 +872,7 @@ def neighborhood_affine_rigidity_test(
 
     stage1 = nonsymmetric_stress(framework, seed, rel_tol)
     corank1 = stress_corank(stage1, rel_tol)
-    if corank1 == d + 1:
+    if _verdict("stage-1 non-symmetric stress", corank1, d, rel_tol) == RIGID:
         certificate = (
             f"non-symmetric equilibrium stress of corank {corank1} (stage 1)"
         )
@@ -877,11 +881,7 @@ def neighborhood_affine_rigidity_test(
     neighborhood = Framework(neighborhood_hypergraph(gamma), framework.coordinates)
     affinity = strong_affinity_matrix(neighborhood, rel_tol)
     corank = affinity_corank(affinity, rel_tol)
-    if corank < d + 1:
-        raise NumericalRankError(
-            "neighborhood affinity matrix", corank, d + 1, rel_tol
-        )
-    verdict = RIGID if corank == d + 1 else FLEXIBLE
+    verdict = _verdict("neighborhood affinity matrix", corank, d, rel_tol)
     certificate = (
         f"stage-1 stress corank {corank1}; neighborhood affinity matrix "
         f"{affinity.matrix.shape[0]}x{v} with corank {corank} (stage 2)"
@@ -891,12 +891,20 @@ def neighborhood_affine_rigidity_test(
 
 def _direction_monomials(directions: np.ndarray) -> np.ndarray:
     """Rows of squares and doubled cross terms, one per direction."""
-    count, d = directions.shape
-    columns = [directions[:, i] * directions[:, i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            columns.append(2.0 * directions[:, i] * directions[:, j])
-    return np.column_stack(columns) if columns else np.zeros((count, 0))
+    i, j = np.triu_indices(directions.shape[1], 1)
+    cross = 2.0 * directions[:, i] * directions[:, j]
+    return np.concatenate([directions * directions, cross], axis=1)
+
+
+def _conic_system(
+    directions: np.ndarray, rel_tol: float
+) -> tuple[np.ndarray, float | None]:
+    """Monomial system of directions and its σ_min/σ_max, or None on a conic."""
+    system = _direction_monomials(directions)
+    kernel = numkernel.numerical_kernel(system, rel_tol)
+    if kernel.dimension:
+        return system, None
+    return system, float(kernel.singular_values[-1] / kernel.singular_values[0])
 
 
 def conic_at_infinity_test(
@@ -904,28 +912,21 @@ def conic_at_infinity_test(
 ) -> bool:
     """Whether some nonzero symmetric Q annihilates every edge direction.
 
-    Hypergraph frameworks are tested on their body graph. If any hyperedge's
-    points affinely span R^d, its pairwise directions already rule every
-    conic out, so the answer is false without building the monomial system.
+    A graph's edges give the directions directly. Hypergraph frameworks are
+    tested on their body graph; if any hyperedge's points affinely span R^d,
+    its pairwise directions already rule every conic out, so the answer is
+    false without building the monomial system (``_conic_system``, on which
+    ``remove_affine`` decides too).
     """
-    theta = as_hypergraph(framework.structure)
-    d = framework.dim
-    for h in theta.hyperedges:
-        members = sorted(h)
-        if len(members) >= d + 1:
-            if affine_span_dimension(framework.coordinates[members], rel_tol) == d:
-                return False
-    edges = body_graph(theta).sorted_edges()
-    unknowns = d * (d + 1) // 2
-    if not edges:
-        return True
-    directions = np.array(
-        [framework.coordinates[u] - framework.coordinates[w] for u, w in edges]
-    )
-    monomials = _direction_monomials(directions)
-    if unknowns == 0:
-        return True
-    return numkernel.numerical_kernel(monomials, rel_tol).dimension > 0
+    structure, coords, d = framework.structure, framework.coordinates, framework.dim
+    if isinstance(structure, Hypergraph):
+        if any(len(h) > d and affine_span_dimension(coords[sorted(h)], rel_tol) == d
+               for h in structure.hyperedges):
+            return False
+        structure = body_graph(structure)
+    edges = np.array(structure.sorted_edges(), dtype=np.intp).reshape(-1, 2)
+    _, margin = _conic_system(coords[edges[:, 0]] - coords[edges[:, 1]], rel_tol)
+    return margin is None
 
 
 def universal_rigidity_certificate(
@@ -940,17 +941,21 @@ def universal_rigidity_certificate(
     plus body-graph edge directions not on a conic at infinity. The PSD route
     (graph frameworks) turns a corank-(d+1) non-symmetric stress Ω into the
     symmetric PSD stress ΩᵀΩ of rank v-d-1, certifying the framework of the
-    squared graph. Failure of either route is reported as inconclusive,
-    never as a refutation.
+    squared graph. Failure of either route, improper frameworks included, is
+    reported as inconclusive, never as a refutation; a corank below d+1
+    raises ``NumericalRankError``, as in ``affine_rigidity_test``.
     """
+    if via not in (AFFINE_ROUTE, PSD_ROUTE):
+        raise InvalidInputError(f"unknown route {via!r}")
+    if via == PSD_ROUTE and not isinstance(framework.structure, Graph):
+        raise InvalidInputError("the PSD route is defined on graph frameworks")
+    try:
+        _require_proper(framework, rel_tol)
+    except (ImproperFrameworkError, UnsupportedInstanceError) as exc:
+        return UniversalRigidityResult(False, via, f"rank test not applicable: {exc}")
     v, d = framework.vertex_count, framework.dim
     if via == AFFINE_ROUTE:
-        try:
-            verdict = affine_rigidity_test(framework, rel_tol)
-        except (ImproperFrameworkError, UnsupportedInstanceError) as exc:
-            return UniversalRigidityResult(
-                False, via, f"affine rank test not applicable: {exc}"
-            )
+        verdict = affine_rigidity_test(framework, rel_tol)
         if verdict.verdict != RIGID:
             return UniversalRigidityResult(
                 False,
@@ -969,32 +974,28 @@ def universal_rigidity_certificate(
             "not on a conic at infinity",
             target="input framework",
         )
-    if via == PSD_ROUTE:
-        if not isinstance(framework.structure, Graph):
-            raise InvalidInputError("the PSD route is defined on graph frameworks")
-        stress = nonsymmetric_stress(framework, seed, rel_tol)
-        corank = stress_corank(stress, rel_tol)
-        if corank != d + 1:
-            return UniversalRigidityResult(
-                False, via, f"random stress corank {corank}, need {d + 1}"
-            )
-        squared = Framework(squared_graph(framework.structure), framework.coordinates)
-        if conic_at_infinity_test(squared, rel_tol):
-            return UniversalRigidityResult(
-                False,
-                via,
-                "squared-graph edge directions lie on a conic at infinity",
-            )
-        psd = StressMatrix(stress.matrix.T @ stress.matrix, symmetric=True)
+    stress = nonsymmetric_stress(framework, seed, rel_tol)
+    corank = stress_corank(stress, rel_tol)
+    if _verdict("random non-symmetric stress", corank, d, rel_tol) != RIGID:
         return UniversalRigidityResult(
-            True,
-            via,
-            f"symmetric PSD stress of rank {v - d - 1} for the squared graph, "
-            "whose edge directions avoid every conic at infinity",
-            target="squared-graph framework",
-            stress=psd,
+            False, via, f"random stress corank {corank}, need {d + 1}"
         )
-    raise InvalidInputError(f"unknown route {via!r}")
+    squared = Framework(squared_graph(framework.structure), framework.coordinates)
+    if conic_at_infinity_test(squared, rel_tol):
+        return UniversalRigidityResult(
+            False,
+            via,
+            "squared-graph edge directions lie on a conic at infinity",
+        )
+    psd = StressMatrix(stress.matrix.T @ stress.matrix, symmetric=True)
+    return UniversalRigidityResult(
+        True,
+        via,
+        f"symmetric PSD stress of rank {v - d - 1} for the squared graph, "
+        "whose edge directions avoid every conic at infinity",
+        target="squared-graph framework",
+        stress=psd,
+    )
 
 
 def affinity_residuals(

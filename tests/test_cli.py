@@ -227,7 +227,7 @@ class TestTest:
         assert main(["test", src, "--dim", "2", "--mode", "neighborhood",
                      "--tol", "1e-16", "--seed", "1", "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("affrig: neighborhood affinity matrix")
+        assert err.startswith("affrig: stage-1 non-symmetric stress")
         assert "relative cutoff 1e-16" in err
         assert "Traceback" not in err
 

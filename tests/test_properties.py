@@ -8,9 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from affrig import numkernel, rigidity  # noqa: E402
+from affrig import numkernel, registration, rigidity  # noqa: E402
 from affrig.families import (  # noqa: E402
     complete_graph,
+    complete_k_hypergraph,
     cycle_graph,
     generic_framework,
     hexagonal_torus,
@@ -20,6 +21,7 @@ from affrig.families import (  # noqa: E402
 from affrig.hypergraph import (  # noqa: E402
     Graph,
     Hypergraph,
+    as_hypergraph,
     neighborhood_hypergraph,
     zha_zhang_condition,
 )
@@ -333,3 +335,128 @@ class TestFloatRankInvariance:
             framework.coordinates @ linear.T + 10.0 * rng.standard_normal(d),
         )
         assert decide(mode, mapped) == decide(mode, framework)
+
+
+def integer_conic_oracle(pairs, coords, d):
+    """Exact conic test: the integer monomial system has rank below d(d+1)/2.
+
+    One row per vertex pair: the squares of the pair's integer direction,
+    then its doubled cross terms.
+    """
+    rows = []
+    for u, w in pairs:
+        x = [a - b for a, b in zip(coords[u], coords[w])]
+        rows.append([x[i] * x[i] for i in range(d)]
+                    + [2 * x[i] * x[j] for i in range(d) for j in range(i + 1, d)])
+    return fraction_rank(rows) < d * (d + 1) // 2
+
+
+@st.composite
+def integer_structures(draw, kind, d):
+    """A small graph or hypergraph with small integer points, often repeated."""
+    v = draw(st.integers(d + 1, 7))
+    if kind is Graph:
+        pairs = [(u, w) for u in range(v) for w in range(u + 1, v)]
+        kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        structure = Graph.from_edges(v, [e for e, keep in zip(pairs, kept) if keep])
+    else:
+        # Up to d points never span R^d, so with that cap the spanning
+        # hyperedge shortcut cannot fire and the body graph decides.
+        cap = min(v, draw(st.sampled_from([max(2, d), d + 1])))
+        hyperedges = draw(st.lists(
+            st.lists(st.integers(0, v - 1), min_size=2, max_size=cap, unique=True),
+            min_size=1, max_size=6))
+        structure = Hypergraph.from_hyperedges(v, hyperedges)
+    coords = [draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+              for _ in range(v)]
+    perm = draw(st.permutations(range(v)))
+    return structure, coords, perm
+
+
+def body_pairs(structure):
+    """Every pair of vertices that share an edge or a hyperedge."""
+    pairs = set()
+    for h in as_hypergraph(structure).hyperedges:
+        members = sorted(h)
+        pairs.update((u, w) for i, u in enumerate(members) for w in members[i + 1:])
+    return sorted(pairs)
+
+
+class TestConicAgainstExactRank:
+    """The float conic test against exact rational rank on integer points."""
+
+    @pytest.mark.parametrize("kind", [Graph, Hypergraph])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_verdict_matches_oracle_and_labels(self, kind, d, data):
+        structure, coords, perm = data.draw(integer_structures(kind, d))
+        framework = rigidity.Framework(structure, np.array(coords, float))
+        on_conic = rigidity.conic_at_infinity_test(framework)
+        assert on_conic == integer_conic_oracle(body_pairs(structure), coords, d)
+        hyper = rigidity.Framework(as_hypergraph(structure), framework.coordinates)
+        assert rigidity.conic_at_infinity_test(hyper) == on_conic
+        if isinstance(structure, Graph):
+            relabelled = Graph.from_edges(
+                structure.vertex_count,
+                [(perm[u], perm[w]) for u, w in structure.sorted_edges()])
+        else:
+            relabelled = Hypergraph.from_hyperedges(
+                structure.vertex_count,
+                [[perm[u] for u in h] for h in structure.hyperedges])
+        moved = np.empty_like(framework.coordinates)
+        moved[perm] = framework.coordinates
+        assert rigidity.conic_at_infinity_test(
+            rigidity.Framework(relabelled, moved)) == on_conic
+
+
+SCAN_SOURCES = {
+    "K(7,4)": lambda seed: generic_framework(complete_k_hypergraph(7, 4), 2, seed=seed),
+    "N(H(3,3))": lambda seed: generic_framework(
+        neighborhood_hypergraph(hexagonal_torus(3, 3)), 2, seed=seed),
+}
+
+
+def chart_map(rng, d, trust):
+    """A random orthogonal map, or under affine trust an affine one of
+    condition number at most 4, plus a shift."""
+    left, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    if trust == registration.AFFINE:
+        right, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        left = left @ np.diag(rng.uniform(0.5, 2.0, d)) @ right
+    return left, 10.0 * rng.standard_normal(d)
+
+
+class TestRegistrationChartInvariance:
+    """Registration does not depend on the charts' gauges or on labels.
+
+    Each chart is re-mapped on its own by a map of the trust class and the
+    vertices are relabelled; the registered configuration must be the
+    original one up to the global gauge of that class.
+    """
+
+    @PROPERTY_SETTINGS
+    @given(source=st.sampled_from(sorted(SCAN_SOURCES)),
+           trust=st.sampled_from([registration.AFFINE, registration.EUCLIDEAN]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_remapped_relabelled_charts(self, source, trust, seed, data):
+        framework = SCAN_SOURCES[source](seed)
+        scans = registration.synthetic_scan_set(framework, trust=trust, seed=seed)
+        register = (registration.affine_register if trust == registration.AFFINE
+                    else registration.euclidean_register)
+        v, d = scans.vertex_count, scans.dim
+        perm = data.draw(st.permutations(range(v)))
+        rng = np.random.default_rng(seed + 1)
+        moved = []
+        for scan in scans.scans:
+            linear, shift = chart_map(rng, d, trust)
+            moved.append(registration.Scan(
+                tuple(perm[u] for u in scan.members),
+                scan.coordinates @ linear.T + shift))
+        original = register(scans)
+        result = register(registration.ScanSet(v, tuple(moved), trust))
+        assert max(result.diagnostics["scan_residuals"]) <= 1e-8
+        fit = (registration.best_fit_affine if trust == registration.AFFINE
+               else registration.best_fit_euclidean)
+        _, _, error = fit(result.config[perm], original.config)
+        assert error <= 1e-8 * registration._diameter(original.config)

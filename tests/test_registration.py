@@ -9,6 +9,7 @@ from affrig.errors import (
     InvalidInputError,
     NonUniqueTransformError,
     NotAffinelyRigidError,
+    UnsupportedInstanceError,
 )
 from affrig.families import (
     complete_k_hypergraph,
@@ -260,6 +261,12 @@ class TestAffineRegister:
         scan = Scan((0, 1, 2, 3), np.random.default_rng(0).standard_normal((4, 2)))
         scans = ScanSet(5, (scan,), "affine")
         with pytest.raises(InvalidInputError):
+            affine_register(scans)
+
+    def test_fewer_than_d_plus_one_vertices(self):
+        # The guard shared with the rigidity tests, same type and message.
+        scans = ScanSet(2, (Scan((0, 1), [[0.0, 0.0], [1.0, 0.0]]),), "affine")
+        with pytest.raises(UnsupportedInstanceError, match="need at least d"):
             affine_register(scans)
 
     def test_diagnostics_shape(self):

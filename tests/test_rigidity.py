@@ -498,6 +498,17 @@ class TestGenericTest:
             generic_affine_rigidity_test(pentagon_hypergraph(), 2, trials=0)
 
 
+# Sets that are not d+1 = 3 distinct vertices of a 30-vertex graph.
+BAD_EXCEPTIONAL_SETS = [
+    (0, 1, 99),  # out of range
+    (0, 1, -1),  # out of range
+    (0, 0, 1),  # repeated
+    (0, 0, 1, 2),  # repeated, with d+1 distinct vertices among them
+    (0, 1),  # too few
+    (0, 1, 2, 3),  # too many
+]
+
+
 class TestRubberBand:
     def test_k4_equal_weights_centroid(self):
         k4 = complete_graph(4)
@@ -553,6 +564,12 @@ class TestRubberBand:
         with pytest.raises(InvalidInputError):
             rubber_band_embedding(complete_graph(4), 2, exceptional=(0, 1, 9))
 
+    @pytest.mark.parametrize("exceptional", BAD_EXCEPTIONAL_SETS)
+    def test_exceptional_set_must_be_d_plus_one_distinct_vertices(self, exceptional):
+        with pytest.raises(InvalidInputError, match="exceptional"):
+            rubber_band_embedding(trilateration_graph(30, 2, seed=0), 2,
+                                  exceptional=exceptional, seed=1)
+
     def test_missing_weight(self):
         k4 = complete_graph(4)
         with pytest.raises(InvalidInputError):
@@ -567,6 +584,21 @@ class TestRubberBand:
 
 
 class TestPositiveStress:
+    @pytest.mark.parametrize("exceptional", BAD_EXCEPTIONAL_SETS)
+    def test_bad_exceptional_sets_are_rejected(self, exceptional):
+        gamma = trilateration_graph(30, 2, seed=0)
+        fw = rubber_band_embedding(gamma, 2, seed=1)
+        with pytest.raises(InvalidInputError, match="exceptional"):
+            positive_stress(fw, exceptional)
+
+    def test_pinned_set_with_an_extra_vertex_is_rejected(self):
+        gamma = trilateration_graph(30, 2, seed=0)
+        pinned = choose_exceptional(gamma, 2)
+        fw = rubber_band_embedding(gamma, 2, exceptional=pinned, seed=1)
+        assert positive_stress(fw, pinned).zero_rows == pinned
+        with pytest.raises(InvalidInputError, match="exceptional"):
+            positive_stress(fw, pinned + (99,))
+
     @pytest.mark.parametrize("gamma", [wheel_graph(6), hexagonal_torus(3, 3)])
     def test_interior_rows_positive(self, gamma):
         fw = rubber_band_embedding(gamma, 2, seed=27)
@@ -884,13 +916,34 @@ class TestNeighborhoodTest:
         with pytest.raises(ImproperFrameworkError):
             neighborhood_affine_rigidity_test(Framework(BOWTIE, collinear))
 
+    @pytest.mark.parametrize("seed, corank", [(0, 1), (1, 1), (2, 2), (3, 2)])
+    def test_stage_one_corank_below_d_plus_one_raises_at_stage_one(
+        self, seed, corank, monkeypatch
+    ):
+        # A stress corank below d+1 is rounding noise; it must stop the test
+        # before the stage-2 matrix is built.
+        fw = generic_framework(wheel_graph(5), 2, seed=seed)
+        built = []
+        monkeypatch.setattr(rigidity, "strong_affinity_matrix",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(NumericalRankError) as info:
+            neighborhood_affine_rigidity_test(fw, rel_tol=1e-16, seed=seed)
+        assert str(info.value).startswith("stage-1 non-symmetric stress")
+        assert info.value.corank == corank
+        assert built == []
+        with pytest.raises(NumericalRankError) as info:
+            universal_rigidity_certificate(
+                fw, via="psd-stress", rel_tol=1e-16, seed=seed)
+        assert "non-symmetric stress" in str(info.value)
+        assert info.value.corank == corank
+
     def test_corank_below_d_plus_one_is_an_error(self):
-        # At a cutoff below rounding noise, stage 1 misses corank d+1 and
-        # stage 2 finds fewer than d+1 kernel directions.
+        # At a cutoff below rounding noise, stage 1 finds fewer than d+1
+        # kernel directions.
         fw = generic_framework(wheel_graph(5), 2, seed=47)
         with pytest.raises(NumericalRankError) as info:
             neighborhood_affine_rigidity_test(fw, rel_tol=1e-16, seed=47)
-        assert "neighborhood affinity matrix" in str(info.value)
+        assert "stage-1 non-symmetric stress" in str(info.value)
         assert info.value.corank < 3
 
     def test_rejects_hypergraph(self):
@@ -976,6 +1029,16 @@ class TestUniversalRigidity:
         collinear = np.array([[float(i), float(i)] for i in range(4)])
         result = universal_rigidity_certificate(Framework(theta, collinear))
         assert not result.certified
+
+    @pytest.mark.parametrize("via", ["affine-rigidity", "psd-stress"])
+    def test_improper_graph_is_inconclusive_on_both_routes(self, via):
+        # A collinear framework's stress corank may lie below d+1 without
+        # any rounding, so it must not reach the NumericalRankError rule.
+        collinear = np.array([[float(i), 2.0 * i] for i in range(7)])
+        result = universal_rigidity_certificate(
+            Framework(wheel_graph(6), collinear), via=via, seed=59)
+        assert not result.certified
+        assert "not applicable" in result.certificate
 
     def test_psd_route_on_honeycomb(self):
         gamma = hexagonal_torus(3, 3)
