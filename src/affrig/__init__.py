@@ -11,6 +11,7 @@ global configuration up to an affine or Euclidean transform.
 from .errors import (
     AffrigError,
     DegenerateInstanceError,
+    EigensolverError,
     ImproperFrameworkError,
     InconsistentLengthsError,
     InconsistentScansError,
@@ -67,6 +68,7 @@ __all__ = [
     "AffrigError",
     "AffinityMatrix",
     "DegenerateInstanceError",
+    "EigensolverError",
     "Framework",
     "Graph",
     "Hypergraph",

@@ -43,6 +43,20 @@ class NumericalRankError(AffrigError):
         )
 
 
+class EigensolverError(NumericalRankError):
+    """The sparse route's eigensolver did not settle, so a float rank is undecided."""
+
+    def __init__(self, shape: tuple[int, int], detail: str):
+        self.corank = None
+        self.expected = None
+        self.rel_tol = None
+        AffrigError.__init__(
+            self,
+            f"the sparse eigensolver did not converge on a {shape[0]}x{shape[1]} "
+            f"matrix, so its rank is undecided: {detail}",
+        )
+
+
 class DegenerateInstanceError(AffrigError):
     """Singular or otherwise unusable instance (e.g. disconnected rubber-band system)."""
 

@@ -1,9 +1,11 @@
 """Numerical and exact linear algebra underneath the rank tests.
 
-Real matrices are ``numpy`` arrays and all tolerance decisions are made
-relative to the largest singular value, so the routines behave identically
-under global rescaling of the input. Exact arithmetic over a large prime
-field uses plain Python integers.
+Real matrices are ``numpy`` arrays or ``SparseMatrix`` entry lists, and all
+tolerance decisions are made relative to the largest singular value, so the
+routines behave identically under global rescaling of the input. Dense
+matrices are decided by a LAPACK SVD, sparse ones by inverse iteration on
+AᵀA (``_sparse_spectrum``), with numpy alone. Exact arithmetic over a large
+prime field uses plain Python integers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import EigensolverError, InvalidInputError
 
 #: Relative singular-value cutoff separating "zero" from "nonzero".
 DEFAULT_REL_TOL = 1e-9
@@ -80,6 +82,90 @@ def _as_real_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """Real matrix stored as its entries in coordinate form.
+
+    ``rows[i]``, ``cols[i]`` and ``values[i]`` give one entry; no cell
+    appears twice and every other cell is zero. The affinity and stress
+    builders store their matrices this way from
+    ``rigidity._SPARSE_MIN_COLUMNS`` columns on, so that no dense array of
+    the full shape exists; ``numerical_kernel`` and ``singular_value_rank``
+    decide such a matrix by ``_sparse_spectrum``. Products with dense
+    vectors and matrices and with other sparse matrices, differences and
+    transposes are what the rank tests and their residual checks use.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        # Plain ints, as an ndarray's shape has, whatever computed them.
+        object.__setattr__(self, "shape", (int(self.shape[0]), int(self.shape[1])))
+
+    @classmethod
+    def coalesced(cls, rows, cols, values, shape) -> SparseMatrix:
+        """The matrix whose cells hold the sums of the given entries."""
+        keys = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols)
+        cells, slot = np.unique(keys, return_inverse=True)
+        sums = np.bincount(slot, weights=values, minlength=len(cells))
+        return cls(cells // shape[1], cells % shape[1], sums, shape)
+
+    @property
+    def T(self) -> SparseMatrix:
+        return SparseMatrix(self.cols, self.rows, self.values, self.shape[::-1])
+
+    def __matmul__(self, other):
+        if isinstance(other, SparseMatrix):
+            return self._times_sparse(other)
+        x = np.asarray(other, dtype=float)
+        if x.ndim == 1:
+            return np.bincount(self.rows, self.values * x[self.cols],
+                               minlength=self.shape[0])
+        product = np.empty((self.shape[0], x.shape[1]))
+        for j, column in enumerate(x.T):
+            product[:, j] = self @ column
+        return product
+
+    def _times_sparse(self, other: SparseMatrix) -> SparseMatrix:
+        """Each entry (i, k) of self meets every entry (k, j) of other."""
+        order = np.argsort(other.rows, kind="stable")
+        keys = other.rows[order]
+        first = np.searchsorted(keys, self.cols, side="left")
+        count = np.searchsorted(keys, self.cols, side="right") - first
+        mine = np.repeat(np.arange(len(self.values)), count)
+        theirs = order[
+            np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            + np.repeat(first, count)
+        ]
+        return SparseMatrix.coalesced(
+            self.rows[mine], other.cols[theirs],
+            self.values[mine] * other.values[theirs],
+            (self.shape[0], other.shape[1]),
+        )
+
+    def __sub__(self, other: SparseMatrix) -> SparseMatrix:
+        return SparseMatrix.coalesced(
+            np.concatenate([self.rows, other.rows]),
+            np.concatenate([self.cols, other.cols]),
+            np.concatenate([self.values, -other.values]),
+            self.shape,
+        )
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.values
+        return dense
+
+
+def _as_real_sparse(m: SparseMatrix) -> SparseMatrix:
+    if not np.all(np.isfinite(m.values)):
+        raise InvalidInputError("matrix contains non-finite entries")
+    return m
+
+
 @dataclass(frozen=True)
 class KernelBasis:
     """Orthonormal basis of the numerical kernel of a real matrix.
@@ -93,10 +179,11 @@ class KernelBasis:
         vector of norm at most ``threshold_used`` times the matrix norm.
     threshold_used : float
         The relative singular-value cutoff that was applied.
-    singular_values : ndarray, shape (min(rows, cols),)
-        The source matrix's singular values in descending order, from the
-        same SVD that produced the basis, so callers can report the margins
-        of the rank decision without factoring the matrix again.
+    singular_values : ndarray
+        The singular values the decision read, σ_max first, from the same
+        factorization that produced the basis (see ``singular_value_rank``),
+        so callers can report the margins of the rank decision
+        (``rank_margins``) without factoring the matrix again.
     """
 
     dimension: int
@@ -110,7 +197,7 @@ def numerical_kernel(m, rel_tol: float = DEFAULT_REL_TOL) -> KernelBasis:
 
     Parameters
     ----------
-    m : array_like, shape (rows, cols)
+    m : array_like or SparseMatrix, shape (rows, cols)
         Input matrix; a matrix with no rows has a full kernel.
     rel_tol : float
         Singular values at most ``rel_tol`` times the largest singular value
@@ -119,10 +206,19 @@ def numerical_kernel(m, rel_tol: float = DEFAULT_REL_TOL) -> KernelBasis:
     Returns
     -------
     KernelBasis
-        Orthonormal kernel directions as columns, taken from the right
-        singular vectors.
+        Orthonormal kernel directions as columns. A dense matrix takes them
+        from the right singular vectors of one SVD. A ``SparseMatrix``
+        takes them from the smallest singular vectors that
+        ``_sparse_spectrum`` resolves, keeping each vector x with
+        ‖A x‖ ≤ ``rel_tol``·σ_max.
     """
-    a = _as_real_matrix(m)
+    if isinstance(m, SparseMatrix):
+        a = _as_real_sparse(m)
+        if a.shape[0] and a.shape[1]:
+            rank, s, basis = _sparse_spectrum(a, rel_tol, vectors=True)
+            return KernelBasis(a.shape[1] - rank, basis, rel_tol, s)
+    else:
+        a = _as_real_matrix(m)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         _check_rel_tol(rel_tol)
@@ -165,23 +261,243 @@ def _stacked_kernels(
 def _rank_above_cutoff(s: np.ndarray, rel_tol: float) -> np.ndarray:
     """How many singular values of each slice exceed ``rel_tol`` times its largest.
 
-    ``s`` is descending along its last axis. Every float rank decision
+    ``s`` is descending along its last axis. Every dense float rank decision
     applies this one cutoff.
     """
     return (s > rel_tol * s[..., :1]).sum(axis=-1)
 
 
+def _bandwidth_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Reverse Cuthill-McKee order of a graph given by its neighbor lists.
+
+    Breadth-first search from a vertex of least degree, visiting each
+    vertex's unseen neighbors in order of increasing degree (ties by index),
+    restarted the same way on every component; the visiting order, reversed.
+    Consecutive positions then hold nearby vertices, which keeps the
+    bandwidth of a matrix whose nonzeros follow the graph's edges small.
+    """
+
+    def key(u: int) -> tuple[int, int]:
+        return len(adjacency[u]), u
+
+    seen = [False] * len(adjacency)
+    order: list[int] = []
+    for root in sorted(range(len(adjacency)), key=key):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            fresh = sorted((w for w in adjacency[order[head]] if not seen[w]), key=key)
+            for w in fresh:
+                seen[w] = True
+            order.extend(fresh)
+            head += 1
+    order.reverse()
+    return order
+
+
+#: The sparse route factors AᵀA + shift·σ_max²: the shift keeps it positive
+#: definite above rounding and is small enough that inverse iteration
+#: separates the kernel from singular values down to about 1e-6 σ_max.
+_SPARSE_SHIFT = 1e-13
+
+#: Smallest singular pairs the sparse route resolves first; it doubles the
+#: count while every pair it resolves is a kernel vector.
+_SPARSE_FIRST_PAIRS = 8
+
+#: Inverse-iteration steps after which the sparse route gives up.
+_SPARSE_MAX_STEPS = 60
+
+#: Lanczos steps for σ_max on the sparse route.
+_LANCZOS_STEPS = 30
+
+
+def _largest_singular_value(a: SparseMatrix, start: np.ndarray) -> float:
+    """σ_max from Lanczos on AᵀA with full reorthogonalization.
+
+    The largest Ritz value of a few dozen steps; it converges from below
+    and the sparse route reads it only as the scale of its cutoff.
+    """
+    steps = min(_LANCZOS_STEPS, a.shape[1])
+    basis = np.zeros((steps, a.shape[1]))
+    alpha = np.zeros(steps)
+    beta = np.zeros(steps)
+    q = start / np.linalg.norm(start)
+    taken = steps
+    for j in range(steps):
+        basis[j] = q
+        w = a.T @ (a @ q)
+        alpha[j] = q @ w
+        for _ in range(2):
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        beta[j] = np.linalg.norm(w)
+        if j + 1 == steps or beta[j] <= 1e-12 * abs(alpha[: j + 1]).max():
+            taken = j + 1
+            break
+        q = w / beta[j]
+    tridiagonal = (np.diag(alpha[:taken]) + np.diag(beta[: taken - 1], 1)
+                   + np.diag(beta[: taken - 1], -1))
+    return float(np.sqrt(max(np.linalg.eigvalsh(tridiagonal)[-1], 0.0)))
+
+
+def _band_solver(gram: SparseMatrix, shift: float):
+    """A solver for (gram + shift·I) y = b, b of shape (n, k).
+
+    The matrix is renumbered in reverse Cuthill-McKee order, which confines
+    its nonzeros to a band of some width w; cut into w×w blocks it is block
+    tridiagonal. Block LDLᵀ elimination then needs only dense w×w products
+    and symmetric eigendecompositions, O(n w²) work and about 2nw stored
+    numbers. No pivoting is needed: the matrix is symmetric positive
+    definite.
+    """
+    n = gram.shape[0]
+    off = gram.rows != gram.cols
+    order_of_rows = np.argsort(gram.rows[off], kind="stable")
+    bounds = np.cumsum(np.bincount(gram.rows[off], minlength=n))[:-1]
+    adjacency = [part.tolist() for part in np.split(gram.cols[off][order_of_rows],
+                                                    bounds)]
+    order = np.array(_bandwidth_order(adjacency), dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    rows, cols = position[gram.rows], position[gram.cols]
+    width = max(int(np.abs(rows - cols).max(initial=0)), 1)
+    blocks = -(-n // width)
+    diagonal = np.zeros((blocks, width, width))
+    # Padding beyond n is an identity block, decoupled from the rest.
+    tail = np.arange(n, blocks * width)
+    diagonal[tail // width, tail % width, tail % width] = 1.0
+    head = np.arange(n)
+    diagonal[head // width, head % width, head % width] = shift
+    same = rows // width == cols // width
+    diagonal[rows[same] // width, rows[same] % width, cols[same] % width] += (
+        gram.values[same])
+    coupling = np.zeros((max(blocks - 1, 0), width, width))
+    below = rows // width == cols // width + 1
+    coupling[cols[below] // width, rows[below] % width, cols[below] % width] = (
+        gram.values[below])
+    # Block LDLᵀ: D_i = M_ii − L_{i,i−1} M_{i,i−1}ᵀ with L_{i+1,i} =
+    # M_{i+1,i} D_i⁻¹. Each pivot block is kept as its eigenvectors and
+    # eigenvalues, so that applying D_i⁻¹ errs only along its eigenvectors
+    # of small eigenvalue, the near-kernel ones, as a backward stable solve
+    # does; an explicit inverse would spread that error in every direction.
+    values = np.empty((blocks, width))
+    for i in range(blocks):
+        if i:
+            diagonal[i] -= coupling[i - 1] @ below_block.T
+        values[i], diagonal[i] = np.linalg.eigh(diagonal[i])
+        if i + 1 < blocks:
+            below_block = coupling[i].copy()
+            coupling[i] = ((below_block @ diagonal[i]) / values[i]) @ diagonal[i].T
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.zeros((blocks * width, b.shape[1]))
+        x[:n] = b[order]
+        x = x.reshape(blocks, width, -1)
+        for i in range(1, blocks):
+            x[i] -= coupling[i - 1] @ x[i - 1]
+        x = diagonal @ ((np.swapaxes(diagonal, 1, 2) @ x) / values[:, :, None])
+        for i in range(blocks - 2, -1, -1):
+            x[i] -= coupling[i].T @ x[i + 1]
+        y = np.empty_like(b)
+        y[order] = x.reshape(blocks * width, -1)[:n]
+        return y
+
+    return solve
+
+
+def _sparse_spectrum(
+    a: SparseMatrix, rel_tol: float, vectors: bool
+) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Rank, singular values and kernel basis of a nonempty sparse matrix.
+
+    σ_max comes from Lanczos on AᵀA (``_largest_singular_value``). The
+    smallest singular pairs come from block inverse iteration on
+    AᵀA + 1e-13·σ_max² (``_band_solver``), started from seeded random
+    vectors so the output is deterministic. Each step replaces the block X
+    by X − (AᵀA + shift)⁻¹AᵀA X, which shrinks a direction of singular
+    value σ by shift/(σ² + shift) and keeps rounding small, and rotates
+    the orthonormalized block Q by the SVD of the small dense A Q into the
+    right singular vectors of A on it. Such a vector x counts as kernel
+    when ‖A x‖ ≤ ``rel_tol``·σ_max: a value of AᵀA never decides, since the
+    default cutoff is 1e-18 on AᵀA, below double precision, while ‖A x‖
+    resolves it. The steps stop once no value above rounding (64 eps
+    σ_max) halved in the last step, so no kernel vector is still
+    converging, and the smallest value above the cutoff, σ_rank, moved by
+    less than 1e-6 of itself. While every resolved vector is kernel the
+    block doubles, so it always reaches past the kernel.
+
+    Returns the rank, the values [σ_max, ‖A x‖ of the block, descending]
+    and, if ``vectors``, the kernel basis (cols, cols - rank). A block that
+    has not settled after ``_SPARSE_MAX_STEPS`` steps raises
+    ``EigensolverError``.
+    """
+    _check_rel_tol(rel_tol)
+    cols = a.shape[1]
+    if not np.any(a.values):
+        return 0, np.zeros(1), np.eye(cols) if vectors else None
+    rng = np.random.default_rng(0)
+    sigma_max = _largest_singular_value(a, rng.standard_normal(cols))
+    gram = a.T @ a
+    solve = _band_solver(gram, _SPARSE_SHIFT * sigma_max**2)
+    cutoff = rel_tol * sigma_max
+    # ‖A x‖ of a kernel vector settles at rounding, about eps·σ_max.
+    floor = 64 * np.finfo(float).eps * sigma_max
+    block = rng.standard_normal((cols, min(_SPARSE_FIRST_PAIRS, cols)))
+    while True:
+        count = block.shape[1]
+        settled = None
+        for _ in range(_SPARSE_MAX_STEPS):
+            span, _ = np.linalg.qr(block - solve(gram @ block))
+            s, vt, _ = _stacked_kernels(a @ span, rel_tol)
+            norms = np.concatenate([s, np.zeros(count - len(s))])
+            block = span @ vt.T
+            if settled is not None and np.all((norms >= settled / 2) | (norms <= floor)):
+                above = norms > cutoff
+                if not above.any() or norms[above][-1] >= settled[above][-1] * (1 - 1e-6):
+                    break
+            settled = norms
+        else:
+            raise EigensolverError(
+                a.shape, f"inverse iteration did not settle in {_SPARSE_MAX_STEPS} steps"
+            )
+        kernel = norms <= cutoff
+        if not kernel.all() or count == cols:
+            break
+        grown = min(2 * count, cols) - count
+        block = np.hstack([block, rng.standard_normal((cols, grown))])
+    rank = cols - int(kernel.sum())
+    values = np.concatenate([[sigma_max], norms])
+    basis = np.ascontiguousarray(block[:, kernel]) if vectors else None
+    return rank, values, basis
+
+
 def singular_value_rank(
     m, rel_tol: float = DEFAULT_REL_TOL
 ) -> tuple[int, np.ndarray]:
-    """Rank and descending singular values of a real matrix, without vectors.
+    """Rank and singular values of a real matrix, without vectors.
 
     The rank counts the singular values above ``rel_tol`` times the largest,
     the cutoff ``numerical_kernel`` applies, so ``cols - rank`` is its kernel
-    dimension. Only the values are computed (LAPACK gesdd with JOBZ='N'), so
-    no workspace is spent on singular vectors that a rank decision never
-    reads. A matrix with no rows or no columns has rank 0 and no values.
+    dimension. A matrix with no rows or no columns has rank 0 and no values.
+
+    A dense matrix gets every singular value, descending, from LAPACK gesdd
+    with JOBZ='N', so no workspace is spent on singular vectors that a rank
+    decision never reads. A ``SparseMatrix`` gets σ_max and then ‖A x‖ of
+    the smallest singular vectors x that ``_sparse_spectrum`` resolved,
+    descending: every kernel vector and at least one more, unless the rank
+    is 0 or the block spans every column. The values above the cutoff then
+    do not count the rank, but ``values[0]`` is σ_max on both routes and
+    ``rank_margins`` reads the same margins off either.
     """
+    if isinstance(m, SparseMatrix):
+        a = _as_real_sparse(m)
+        _check_rel_tol(rel_tol)
+        if a.shape[0] and a.shape[1]:
+            rank, values, _ = _sparse_spectrum(a, rel_tol, vectors=False)
+            return rank, values
+        return 0, np.zeros(0)
     a = _as_real_matrix(m)
     _check_rel_tol(rel_tol)
     if a.size == 0:
@@ -190,9 +506,33 @@ def singular_value_rank(
     return int(_rank_above_cutoff(s, rel_tol)), s
 
 
+def rank_margins(values: np.ndarray, rel_tol: float) -> tuple[float, float]:
+    """σ_rank/σ_max and σ_{rank+1}/σ_max of a rank decision.
+
+    ``values`` are the singular values a decision read, σ_max first (those
+    of ``singular_value_rank`` or ``KernelBasis``). The first margin is the
+    smallest value above the cutoff, 1.0 when none is; the second is the
+    largest value at or below it, 0.0 when none is, as for a wide matrix of
+    full row rank on the dense route. Both are relative to σ_max.
+    """
+    if not values.size:
+        return 1.0, 0.0
+    scale = values[0]
+    cutoff = rel_tol * scale
+    above, below = values[values > cutoff], values[values <= cutoff]
+    return (
+        float(above.min() / scale) if above.size else 1.0,
+        float(below.max() / scale) if below.size else 0.0,
+    )
+
+
 def numerical_rank(m, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Rank under the ``numerical_kernel`` cutoff, from singular values alone."""
     return singular_value_rank(m, rel_tol)[0]
+
+
+
+
 
 
 @dataclass(frozen=True)

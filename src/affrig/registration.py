@@ -246,14 +246,11 @@ def _affine_configuration(
             f"exceeds rel_tol {rel_tol:g}"
         )
     config = _configuration_from_kernel(kernel.basis, d)
-    singulars = kernel.singular_values
-    rank = v - corank
+    rank_margin, kernel_gap = numkernel.rank_margins(kernel.singular_values, rel_tol)
     diagnostics = {
         "corank": corank,
-        "rank_margin": float(singulars[rank - 1] / singulars[0]) if rank else 1.0,
-        "kernel_gap": float(singulars[rank] / singulars[0])
-        if rank < len(singulars)
-        else 0.0,
+        "rank_margin": rank_margin,
+        "kernel_gap": kernel_gap,
     }
     return config, diagnostics
 

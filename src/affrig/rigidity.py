@@ -91,10 +91,11 @@ class AffinityMatrix:
 
     ``row_provenance[r]`` is the index of the hyperedge that produced row r.
     The ``strong`` flag records that each block spans *all* relations of its
-    hyperedge.
+    hyperedge. ``matrix`` is a dense array below ``_SPARSE_MIN_COLUMNS``
+    columns and a ``numkernel.SparseMatrix`` from there on.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | numkernel.SparseMatrix
     row_provenance: tuple[int, ...]
     strong: bool
 
@@ -104,10 +105,11 @@ class StressMatrix:
     """v×v equilibrium stress: edge-sparse, zero row sums, annihilates coords.
 
     ``zero_rows`` lists vertices whose row came out identically zero (too few
-    neighbors to admit a relation).
+    neighbors to admit a relation). ``matrix`` is stored as in
+    ``AffinityMatrix``, except that a positive stress is always dense.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | numkernel.SparseMatrix
     symmetric: bool
     zero_rows: tuple[int, ...] = ()
 
@@ -182,6 +184,32 @@ def _normalized_charts(charts: np.ndarray) -> np.ndarray:
     return centered / np.where(radius > 0, radius, 1.0)[..., None, None]
 
 
+#: Column count from which the affinity and stress builders store a matrix
+#: as a ``numkernel.SparseMatrix``. The matrices carry a few nonzeros per
+#: row, and from here on the sparse route (``numkernel._sparse_spectrum``)
+#: decides their rank faster than a dense SVD; below it, the dense SVD is
+#: faster.
+_SPARSE_MIN_COLUMNS = 512
+
+
+def _assemble(
+    entries: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    shape: tuple[int, int],
+) -> np.ndarray | numkernel.SparseMatrix:
+    """A matrix from (rows, columns, values) triplets without repeated cells.
+
+    Dense below ``_SPARSE_MIN_COLUMNS`` columns, else a ``SparseMatrix`` of
+    the triplets; no dense array of the full shape is made on that route.
+    """
+    empty = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
+    rows, cols, values = (np.concatenate(part) for part in zip(empty, *entries))
+    if shape[1] >= _SPARSE_MIN_COLUMNS:
+        return numkernel.SparseMatrix(rows, cols, values, shape)
+    matrix = np.zeros(shape)
+    matrix[rows, cols] = values
+    return matrix
+
+
 def _affinity_from_blocks(
     vertex_count: int,
     blocks: Iterable[tuple[Sequence[int], np.ndarray]],
@@ -199,7 +227,8 @@ def _affinity_from_blocks(
 
     The lifts [ones; chart transposed] of all blocks of one size are
     factored by one stacked SVD, whose slices equal ``numerical_kernel`` on
-    each lift bit for bit; rows are scattered in block order.
+    each lift bit for bit; rows are scattered in block order, into a dense
+    or a sparse matrix by the column count (``_assemble``).
     """
     groups = _blocks_by_size(blocks)
     count = sum(len(indices) for indices, _, _ in groups)
@@ -213,13 +242,17 @@ def _affinity_from_blocks(
         dims[indices] = members.shape[1] - ranks
         factored.append((indices, members, vt, ranks))
     offsets = np.concatenate([[0], np.cumsum(dims)])
-    matrix = np.zeros((offsets[-1], vertex_count))
+    entries = []
     for indices, members, vt, ranks in factored:
         k = members.shape[1]
         # Row j of a block's right factor is a relation from j = rank on.
         relation = np.arange(k) >= ranks[:, None]
         rows = (offsets[indices][:, None] + np.arange(k) - ranks[:, None])[relation]
-        matrix[rows[:, None], members.repeat(dims[indices], axis=0)] = vt[relation]
+        entries.append(
+            (rows.repeat(k), members.repeat(dims[indices], axis=0).ravel(),
+             vt[relation].ravel())
+        )
+    matrix = _assemble(entries, (offsets[-1], vertex_count))
     provenance = tuple(np.repeat(np.arange(count), dims).tolist())
     return AffinityMatrix(matrix, provenance, strong=True)
 
@@ -247,9 +280,19 @@ def strong_affinity_matrix(
 def affinity_corank(
     affinity: AffinityMatrix, rel_tol: float = DEFAULT_REL_TOL
 ) -> int:
-    """Kernel dimension of an affinity matrix over its v columns."""
+    """Kernel dimension of an affinity matrix over its v columns.
+
+    Decided by ``numkernel.numerical_rank``: a dense SVD below
+    ``_SPARSE_MIN_COLUMNS`` columns, the sparse eigensolver, deciding on
+    ‖A x‖, from there on.
+    """
     v = affinity.matrix.shape[1]
     return v - numkernel.numerical_rank(affinity.matrix, rel_tol)
+
+
+def _require_dimension(d: int) -> None:
+    if d < 1:
+        raise InvalidInputError("dimension must be positive")
 
 
 def _require_vertices(v: int, d: int) -> None:
@@ -284,8 +327,9 @@ def affine_rigidity_test(
     this one: rigid. Corank above d+1 exhibits an extra kernel direction:
     flexible. Corank below d+1 cannot happen for proper frameworks.
 
-    The matrix is built once and its singular values are computed once,
-    without vectors; the verdict's ``residuals`` take σ_max from them and
+    The matrix is built once and its rank is decided once, without vectors
+    (``numkernel.singular_value_rank``, dense or sparse by the matrix's
+    storage); the verdict's ``residuals`` take σ_max from that call and
     equal ``affinity_residuals`` of the matrix. A corank below d+1 raises
     ``NumericalRankError``.
     """
@@ -301,38 +345,6 @@ def affine_rigidity_test(
     )
     residuals = _affinity_residuals(affinity, framework, singular_values)
     return RigidityVerdict(verdict, corank, certificate, False, residuals)
-
-
-def _bandwidth_order(gamma: Graph) -> list[int]:
-    """Reverse Cuthill-McKee order of a graph's vertices.
-
-    Breadth-first search from a vertex of least degree, visiting each
-    vertex's unseen neighbors in order of increasing degree (ties by index),
-    restarted the same way on every component; the visiting order, reversed.
-    Consecutive positions then hold nearby vertices, which keeps the
-    bandwidth of a matrix whose nonzeros follow the graph's edges small.
-    """
-    adjacency = gamma.adjacency
-
-    def key(u: int) -> tuple[int, int]:
-        return len(adjacency[u]), u
-
-    seen = [False] * gamma.vertex_count
-    order: list[int] = []
-    for root in sorted(range(gamma.vertex_count), key=key):
-        if seen[root]:
-            continue
-        seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            fresh = sorted((w for w in adjacency[order[head]] if not seen[w]), key=key)
-            for w in fresh:
-                seen[w] = True
-            order.extend(fresh)
-            head += 1
-    order.reverse()
-    return order
 
 
 def field_affinity_corank(
@@ -365,13 +377,13 @@ def field_affinity_corank(
     order makes the elimination three times faster than vertex-index order.
     """
     theta = as_hypergraph(structure)
-    if d < 1:
-        raise InvalidInputError("dimension must be positive")
+    _require_dimension(d)
     v = theta.vertex_count
     if len(coords) != v or any(len(point) != d for point in coords):
         raise InvalidInputError(f"need {v} integer points of length {d}")
     column = [0] * v
-    for position, u in enumerate(_bandwidth_order(body_graph(theta))):
+    order = numkernel._bandwidth_order(body_graph(theta).adjacency)
+    for position, u in enumerate(order):
         column[u] = position
     rows: list[dict[int, int]] = []
     for h in theta.hyperedges:
@@ -425,8 +437,7 @@ def generic_affine_rigidity_test(
     more ``trials`` restore it.
     """
     theta = as_hypergraph(structure)
-    if d < 1:
-        raise InvalidInputError("dimension must be positive")
+    _require_dimension(d)
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     v = theta.vertex_count
@@ -673,8 +684,7 @@ def rubber_band_embedding(
     in general position, is left to the caller, who can test it with
     ``hypergraph.is_k_vertex_connected(gamma, d + 1)``.
     """
-    if d < 1:
-        raise InvalidInputError("dimension must be positive")
+    _require_dimension(d)
     if not isinstance(gamma, Graph):
         raise InvalidInputError("rubber-band relaxation is defined on graphs")
     v = gamma.vertex_count
@@ -802,7 +812,8 @@ def nonsymmetric_stress(
 
     The edge-vector matrices of all vertices of one degree are factored by
     one stacked SVD, whose slices equal ``numerical_kernel`` on each matrix
-    bit for bit; the random combinations are then drawn in vertex order.
+    bit for bit; the random combinations are then drawn in vertex order and
+    stored dense or sparse by the vertex count (``_assemble``).
     """
     gamma = framework.structure
     if not isinstance(gamma, Graph):
@@ -827,7 +838,7 @@ def nonsymmetric_stress(
                 bases[u] = np.eye(k)
             elif rank < k:
                 bases[u] = np.ascontiguousarray(right[rank:].T)
-    omega = np.zeros((v, v))
+    entries = []
     zero_rows: list[int] = []
     for u, basis in enumerate(bases):
         if basis is None:
@@ -835,15 +846,20 @@ def nonsymmetric_stress(
             continue
         row = basis @ rng.standard_normal(basis.shape[1])
         row /= np.linalg.norm(row)
-        omega[u, neighbors[u]] = row
-        omega[u, u] = -row.sum()
+        entries.append((np.full(len(row) + 1, u), np.array(neighbors[u] + [u]),
+                        np.append(row, -row.sum())))
     if zero_rows:
         logger.debug("zero stress rows at vertices %s", zero_rows)
+    omega = _assemble(entries, (v, v))
     return StressMatrix(omega, symmetric=False, zero_rows=tuple(zero_rows))
 
 
 def stress_corank(stress: StressMatrix, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Kernel dimension of a stress matrix."""
+    """Kernel dimension of a stress matrix, dense or sparse.
+
+    Decided as in ``affinity_corank``; a positive stress is dense at any
+    size, a non-symmetric one sparse from ``_SPARSE_MIN_COLUMNS`` vertices.
+    """
     v = stress.matrix.shape[1]
     return v - numkernel.numerical_rank(stress.matrix, rel_tol)
 
@@ -1005,11 +1021,29 @@ def affinity_residuals(
 
     Returns row-sum residual (rows scaled to unit norm), off-support mass,
     and the residual of the lifted coordinate vectors relative to the largest
-    singular value, taken from the values-only SVD that
+    singular value, taken from the same ``singular_value_rank`` call that
     ``affine_rigidity_test`` decides on, so both report the same numbers.
+    Dense and sparse matrices are read through their nonzero entries.
     """
     _, singular_values = numkernel.singular_value_rank(affinity.matrix)
     return _affinity_residuals(affinity, framework, singular_values)
+
+
+def _nonzeros(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and values of a matrix's nonzero entries."""
+    if isinstance(matrix, numkernel.SparseMatrix):
+        return matrix.rows, matrix.cols, matrix.values
+    rows, cols = np.nonzero(matrix)
+    return rows, cols, matrix[rows, cols]
+
+
+def _largest_off(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+    allowed_rows: np.ndarray, allowed_cols: np.ndarray, width: int,
+) -> float:
+    """Largest |value| of an entry whose cell is not among the allowed cells."""
+    allowed = np.isin(rows * width + cols, allowed_rows * width + allowed_cols)
+    return float(np.abs(values[~allowed]).max(initial=0.0))
 
 
 def _affinity_residuals(
@@ -1017,23 +1051,28 @@ def _affinity_residuals(
 ) -> dict[str, float]:
     theta = as_hypergraph(framework.structure)
     matrix = affinity.matrix
-    norms = np.linalg.norm(matrix, axis=1)
-    ratios = np.abs(matrix.sum(axis=1)) / np.where(norms > 0, norms, 1.0)
-    outside = np.ones(matrix.shape, dtype=bool)
-    for r, index in enumerate(affinity.row_provenance):
-        outside[r, list(theta.hyperedges[index])] = False
-    # Largest |entry| off the support, without copying the matrix.
-    largest = matrix.max(where=outside, initial=0.0)
-    smallest = matrix.min(where=outside, initial=0.0)
-    sigma_max = float(singular_values.max(initial=0.0))
+    count, v = matrix.shape
+    rows, cols, values = _nonzeros(matrix)
+    norms = np.sqrt(np.bincount(rows, values * values, minlength=count))
+    sums = np.bincount(rows, values, minlength=count)
+    ratios = np.abs(sums) / np.where(norms > 0, norms, 1.0)
+    support = [theta.hyperedges[index] for index in affinity.row_provenance]
+    sizes = np.fromiter(map(len, support), dtype=np.intp, count=count)
+    members = np.fromiter(
+        (u for h in support for u in h), dtype=np.intp, count=int(sizes.sum())
+    )
+    off_support = _largest_off(
+        rows, cols, values, np.repeat(np.arange(count), sizes), members, v
+    )
+    sigma_max = float(singular_values[0]) if singular_values.size else 0.0
     return {
         "row_sum": float(ratios.max(initial=0.0)),
-        "off_support": float(max(largest, -smallest)),
+        "off_support": off_support,
         "kernel_residual": _kernel_residual(matrix, framework.coordinates, sigma_max),
     }
 
 
-def _kernel_residual(matrix: np.ndarray, coords: np.ndarray, scale: float) -> float:
+def _kernel_residual(matrix, coords: np.ndarray, scale: float) -> float:
     """Residual of {ones, coordinate axes} under a matrix of 2-norm ``scale``."""
     if scale == 0:
         return 0.0
@@ -1047,6 +1086,12 @@ def _kernel_residual(matrix: np.ndarray, coords: np.ndarray, scale: float) -> fl
     return worst
 
 
+def _spectral_norm(matrix) -> float:
+    """σ_max of a dense or sparse matrix, as its rank decision reads it."""
+    values = numkernel.singular_value_rank(matrix)[1]
+    return float(values[0]) if values.size else 0.0
+
+
 def stress_residuals(
     stress: StressMatrix, framework: Framework
 ) -> dict[str, float]:
@@ -1055,17 +1100,22 @@ def stress_residuals(
     if not isinstance(gamma, Graph):
         raise InvalidInputError("stress residuals are defined on graphs")
     matrix = stress.matrix
-    allowed = np.eye(framework.vertex_count, dtype=bool)
-    edges = np.array(gamma.sorted_edges(), dtype=int).reshape(-1, 2)
-    allowed[edges[:, 0], edges[:, 1]] = allowed[edges[:, 1], edges[:, 0]] = True
-    scale = max(float(np.linalg.norm(matrix, 2)), 1e-300)
-    row_sum = float(np.abs(matrix.sum(axis=1)).max()) / scale
-    kernel_residual = _kernel_residual(matrix, framework.coordinates, scale)
-    symmetry = (
-        float(np.linalg.norm(matrix - matrix.T, 2)) / scale if stress.symmetric else 0.0
+    v = framework.vertex_count
+    edges = np.array(gamma.sorted_edges(), dtype=np.intp).reshape(-1, 2)
+    diagonal = np.arange(v)
+    rows, cols, values = _nonzeros(matrix)
+    sparsity = _largest_off(
+        rows, cols, values,
+        np.concatenate([diagonal, edges[:, 0], edges[:, 1]]),
+        np.concatenate([diagonal, edges[:, 1], edges[:, 0]]),
+        v,
     )
+    scale = max(_spectral_norm(matrix), 1e-300)
+    row_sum = float(np.abs(np.bincount(rows, values, minlength=v)).max()) / scale
+    kernel_residual = _kernel_residual(matrix, framework.coordinates, scale)
+    symmetry = _spectral_norm(matrix - matrix.T) / scale if stress.symmetric else 0.0
     return {
-        "sparsity": float(np.abs(matrix[~allowed]).max(initial=0.0)),
+        "sparsity": sparsity,
         "row_sum": row_sum,
         "kernel_residual": kernel_residual,
         "symmetry": symmetry,

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from affrig import cli, formats, rigidity
+from affrig import cli, formats, numkernel, rigidity
 from affrig.cli import main
 from affrig.families import (
     complete_k_hypergraph,
@@ -470,3 +470,80 @@ class TestPlumbing:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_sparse_framework_test_loads_no_scipy(self, tmp_path):
+        """The framework test on N(H(16,16)), v = 512, decides sparsely
+        and still imports no scipy: the sparse route is numpy alone."""
+        torus = neighborhood_hypergraph(hexagonal_torus(16, 16))
+        assert torus.vertex_count == rigidity._SPARSE_MIN_COLUMNS
+        coords = str(tmp_path / "coords.json")
+        formats.write_document(formats.document_from_coordinates(
+            generic_framework(torus, 2, seed=3).coordinates), coords)
+        argv = ["test", write_structure(tmp_path, "nbh.json", torus), "--dim", "2",
+                "--mode", "framework", "--framework", coords, "--quiet"]
+        script = (
+            "import sys\n"
+            "from affrig import numkernel\n"
+            "from affrig.cli import main\n"
+            "spectrum, calls = numkernel._sparse_spectrum, []\n"
+            "numkernel._sparse_spectrum = lambda *a, **k: calls.append(1) or spectrum(*a, **k)\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1 []"
+
+    def test_unsettled_sparse_solver_exits_2(self, tmp_path, monkeypatch, capsys):
+        torus = neighborhood_hypergraph(hexagonal_torus(3, 3))
+        coords = str(tmp_path / "coords.json")
+        formats.write_document(formats.document_from_coordinates(
+            generic_framework(torus, 2, seed=3).coordinates), coords)
+        monkeypatch.setattr(rigidity, "_SPARSE_MIN_COLUMNS", 0)
+        monkeypatch.setattr(numkernel, "_SPARSE_MAX_STEPS", 1)
+        argv = ["test", write_structure(tmp_path, "nbh.json", torus), "--dim", "2",
+                "--mode", "framework", "--framework", coords, "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affrig: ") and "did not converge" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["framework", "neighborhood", "euclidean"])
+    def test_sparse_route_is_deterministic(self, tmp_path, monkeypatch, command):
+        """Two runs on the sparse route write the same -o file byte for byte
+        and the same report but for its timestamp and timings."""
+        monkeypatch.setattr(rigidity, "_SPARSE_MIN_COLUMNS", 0)
+        torus = hexagonal_torus(4, 4)
+        nbh = neighborhood_hypergraph(torus)
+        framework = generic_framework(nbh, 2, seed=7)
+        coords = str(tmp_path / "coords.json")
+        formats.write_document(
+            formats.document_from_coordinates(framework.coordinates), coords)
+        argv = {
+            "framework": ["test", write_structure(tmp_path, "nbh.json", nbh),
+                          "--dim", "2", "--mode", "framework", "--framework", coords],
+            "neighborhood": ["test", write_structure(tmp_path, "torus.json", torus),
+                             "--dim", "2", "--mode", "neighborhood", "--seed", "5"],
+            "euclidean": ["register", write_scans(tmp_path, "scans.json",
+                                                  synthetic_scan_set(
+                                                      framework, trust="euclidean",
+                                                      seed=8)),
+                          "--mode", "euclidean"],
+        }[command]
+        outputs = []
+        for run in range(2):
+            report = str(tmp_path / f"report{run}.json")
+            extra = ["-o", str(tmp_path / f"out{run}.json")] if command == "euclidean" else []
+            assert main(argv + extra + ["--quiet", "--report", report]) == 0
+            outputs.append(stripped_report(report))
+            if extra:
+                outputs.append((tmp_path / f"out{run}.json").read_bytes())
+        half = len(outputs) // 2
+        assert outputs[:half] == outputs[half:]

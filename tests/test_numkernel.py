@@ -6,9 +6,11 @@ import pytest
 from affrig.errors import InvalidInputError
 from affrig.numkernel import (
     DEFAULT_PRIME,
+    DEFAULT_REL_TOL,
     PRIME_POOL_60BIT,
     KernelBasis,
     PrimeFieldMatrix,
+    SparseMatrix,
     is_prime,
     least_squares,
     numerical_kernel,
@@ -17,6 +19,7 @@ from affrig.numkernel import (
     prime_field_nullspace,
     prime_field_rank,
     psd_cholesky,
+    rank_margins,
     singular_value_rank,
 )
 
@@ -381,3 +384,86 @@ class TestPsdCholesky:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInputError):
             psd_cholesky(np.ones((2, 3)))
+
+
+def as_sparse(dense):
+    rows, cols = np.nonzero(dense)
+    return SparseMatrix(rows, cols, dense[rows, cols], dense.shape)
+
+
+class TestSparseMatrix:
+    def test_operations_match_dense(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.4)
+        b = rng.normal(size=(5, 6)) * (rng.random((5, 6)) < 0.4)
+        sa, sb = as_sparse(a), as_sparse(b)
+        x = rng.normal(size=5)
+        np.testing.assert_allclose(sa @ x, a @ x, atol=1e-14)
+        np.testing.assert_allclose(sa @ np.column_stack([x, 2 * x]),
+                                   a @ np.column_stack([x, 2 * x]), atol=1e-14)
+        np.testing.assert_allclose((sa @ sb).toarray(), a @ b, atol=1e-14)
+        np.testing.assert_allclose((sa.T @ sa).toarray(), a.T @ a, atol=1e-14)
+        np.testing.assert_allclose((sa - sa).toarray(), np.zeros_like(a))
+        assert sa.T.shape == (5, 7)
+
+    def test_coalesced_sums_repeated_cells(self):
+        m = SparseMatrix.coalesced([0, 1, 0], [2, 0, 2], [1.0, 3.0, 4.0], (2, 3))
+        np.testing.assert_array_equal(m.toarray(), [[0, 0, 5.0], [3.0, 0, 0]])
+
+
+class TestSparseRoute:
+    """``SparseMatrix`` inputs are decided by inverse iteration; the dense
+    SVD is the oracle for ranks, kernels, σ_max and margins."""
+
+    @pytest.mark.parametrize("cols, corank", [(2, 1), (12, 11), (40, 3), (60, 25),
+                                              (90, 0)])
+    def test_rank_kernel_and_margins(self, cols, corank):
+        rng = np.random.default_rng(cols)
+        rank = cols - corank
+        a = rng.normal(size=(cols + 3, rank)) @ rng.normal(size=(rank, cols))
+        dense_rank, values = singular_value_rank(a)
+        assert dense_rank == rank
+        sparse_rank, sparse_values = singular_value_rank(as_sparse(a))
+        assert sparse_rank == dense_rank
+        assert sparse_values[0] == pytest.approx(values[0], rel=1e-10)
+        for mine, oracle in zip(rank_margins(sparse_values, DEFAULT_REL_TOL),
+                                rank_margins(values, DEFAULT_REL_TOL)):
+            assert mine == pytest.approx(oracle, rel=1e-6, abs=1e-13)
+        kernel = numerical_kernel(as_sparse(a))
+        assert kernel.dimension == cols - dense_rank
+        assert kernel.basis.shape == (cols, cols - dense_rank)
+        np.testing.assert_allclose(kernel.basis.T @ kernel.basis,
+                                   np.eye(kernel.dimension), atol=1e-12)
+        assert np.abs(a @ kernel.basis).max(initial=0.0) <= 1e-12 * values[0]
+
+    def test_zero_and_empty_matrices(self):
+        assert singular_value_rank(as_sparse(np.zeros((3, 4))))[0] == 0
+        assert numerical_kernel(as_sparse(np.zeros((3, 4)))).dimension == 4
+        empty = SparseMatrix(np.zeros(0, int), np.zeros(0, int), np.zeros(0), (0, 5))
+        assert singular_value_rank(empty) == (0, pytest.approx(np.zeros(0)))
+        assert numerical_kernel(empty).dimension == 5
+
+    def test_rejects_non_finite_entries(self):
+        bad = SparseMatrix(np.array([0]), np.array([1]), np.array([np.nan]), (2, 2))
+        with pytest.raises(InvalidInputError):
+            singular_value_rank(bad)
+        with pytest.raises(InvalidInputError):
+            numerical_kernel(bad)
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(5)
+        a = as_sparse(rng.normal(size=(30, 20)) @ np.diag([1.0] * 17 + [0.0] * 3))
+        first, second = numerical_kernel(a), numerical_kernel(a)
+        np.testing.assert_array_equal(first.basis, second.basis)
+        np.testing.assert_array_equal(first.singular_values, second.singular_values)
+
+    def test_rank_margins_read_the_dense_values(self):
+        values = np.array([2.0, 1.0, 1e-3, 1e-12, 0.0])
+        assert rank_margins(values, 1e-9) == (5e-4, 5e-13)
+        assert rank_margins(np.array([3.0, 1.0]), 1e-9) == (1 / 3, 0.0)
+        assert rank_margins(np.zeros(0), 1e-9) == (1.0, 0.0)
+
+    def test_shape_holds_plain_ints(self):
+        m = SparseMatrix(np.array([0]), np.array([1]), np.array([2.0]),
+                         (np.int64(2), np.int64(3)))
+        assert m.shape == (2, 3) and all(type(n) is int for n in m.shape)

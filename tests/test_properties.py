@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from affrig import numkernel, registration, rigidity  # noqa: E402
+from affrig.errors import NumericalRankError  # noqa: E402
 from affrig.families import (  # noqa: E402
     complete_graph,
     complete_k_hypergraph,
@@ -460,3 +461,122 @@ class TestRegistrationChartInvariance:
                else registration.best_fit_euclidean)
         _, _, error = fit(result.config[perm], original.config)
         assert error <= 1e-8 * registration._diameter(original.config)
+
+
+def on_route(route, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with every builder storing dense or sparse.
+
+    The dense route is the oracle; ``_SPARSE_MIN_COLUMNS = 0`` sends even
+    these small matrices to the sparse eigensolver.
+    """
+    threshold = rigidity._SPARSE_MIN_COLUMNS if route == "dense" else 0
+    with mock.patch.object(rigidity, "_SPARSE_MIN_COLUMNS", threshold):
+        return fn(*args, **kwargs)
+
+
+def outcome(mode, framework, rel_tol=numkernel.DEFAULT_REL_TOL):
+    """(verdict, corank) of ``decide``, or the NumericalRankError it raised."""
+    try:
+        if mode == "framework":
+            result = rigidity.affine_rigidity_test(rigidity.Framework(
+                neighborhood_hypergraph(framework.structure),
+                framework.coordinates), rel_tol)
+        else:
+            result = rigidity.neighborhood_affine_rigidity_test(
+                framework, rel_tol, seed=1)
+    except NumericalRankError:
+        return "NumericalRankError"
+    return result.verdict, result.corank
+
+
+ROUTES = ["dense", "sparse"]
+
+
+class TestSparseRouteAgainstDense:
+    """The sparse eigensolver decides as the dense SVD does.
+
+    Each case runs twice, once per storage; the dense SVD is the oracle.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    @PROPERTY_SETTINGS
+    @given(framework=graph_frameworks())
+    def test_verdicts_and_coranks(self, mode, framework):
+        dense = on_route("dense", outcome, mode, framework)
+        assert on_route("sparse", outcome, mode, framework) == dense
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounding_noise_raises_on_both_routes(self, seed):
+        framework = generic_framework(wheel_graph(5), 2, seed=seed)
+        for route in ROUTES:
+            assert on_route(route, outcome, "neighborhood", framework,
+                            1e-16) == "NumericalRankError"
+
+    @PROPERTY_SETTINGS
+    @given(source=st.sampled_from(sorted(SCAN_SOURCES)),
+           trust=st.sampled_from([registration.AFFINE, registration.EUCLIDEAN]),
+           seed=st.integers(0, 2**16))
+    def test_registrations(self, source, trust, seed):
+        scans = registration.synthetic_scan_set(
+            SCAN_SOURCES[source](seed), trust=trust, seed=seed)
+        register = (registration.affine_register if trust == registration.AFFINE
+                    else registration.euclidean_register)
+        dense = on_route("dense", register, scans)
+        sparse = on_route("sparse", register, scans)
+        assert sparse.diagnostics["corank"] == dense.diagnostics["corank"]
+        fit = (registration.best_fit_affine if trust == registration.AFFINE
+               else registration.best_fit_euclidean)
+        _, _, error = fit(sparse.config, dense.config)
+        assert error <= 1e-9 * registration._diameter(dense.config)
+
+    def test_corank_above_the_first_block(self):
+        # N(H(12,12)) plus 20 isolated vertices: corank 3 + 20 = 23, beyond
+        # the first block of 8 vectors, so the block must double twice.
+        nbh = neighborhood_hypergraph(hexagonal_torus(12, 12))
+        theta = Hypergraph.from_hyperedges(
+            nbh.vertex_count + 20, nbh.sorted_hyperedges())
+        framework = generic_framework(theta, 2, seed=5)
+        band_solver = numkernel._band_solver
+        widths = []
+
+        def spy(gram, shift):
+            solve = band_solver(gram, shift)
+
+            def recorded(b):
+                widths.append(b.shape[1])
+                return solve(b)
+
+            return recorded
+
+        with mock.patch.object(numkernel, "_band_solver", spy):
+            sparse = on_route("sparse", rigidity.affine_rigidity_test, framework)
+        dense = on_route("dense", rigidity.affine_rigidity_test, framework)
+        assert sorted(set(widths)) == [8, 16, 32]
+        assert (sparse.verdict, sparse.corank) == (dense.verdict, dense.corank) == (
+            rigidity.FLEXIBLE, 23)
+
+    def test_no_convergence_is_a_numerical_rank_error(self):
+        # One step can never settle: settling compares two steps.
+        framework = generic_framework(
+            neighborhood_hypergraph(hexagonal_torus(3, 3)), 2, seed=2)
+        with mock.patch.object(numkernel, "_SPARSE_MAX_STEPS", 1):
+            with pytest.raises(NumericalRankError, match="did not converge"):
+                on_route("sparse", rigidity.affine_rigidity_test, framework)
+
+
+class TestFloatAgainstFieldCorank:
+    """On integer points, the float corank equals the exact F_q corank.
+
+    Both routes of the float decision are checked; the points are small
+    integers, often coincident or collinear, so that lifts lose rank.
+    """
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @PROPERTY_SETTINGS
+    @given(case=integer_frameworks())
+    def test_float_corank_equals_field_corank(self, route, case):
+        theta, d, coords, _ = case
+        exact = rigidity.field_affinity_corank(theta, d, coords)
+        framework = rigidity.Framework(theta, np.array(coords, float))
+        assert on_route(route, lambda: rigidity.affinity_corank(
+            rigidity.strong_affinity_matrix(framework))) == exact

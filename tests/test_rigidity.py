@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from affrig import rigidity
+from affrig import numkernel, rigidity
 from affrig.errors import (
     DegenerateInstanceError,
     ImproperFrameworkError,
@@ -1074,3 +1074,95 @@ class TestUniversalRigidity:
         fw = generic_framework(pentagon_hypergraph(), 2, seed=58)
         with pytest.raises(InvalidInputError):
             universal_rigidity_certificate(fw, via="psd-stress")
+
+
+class TestDimensionGuard:
+    """One guard rejects a non-positive dimension in all three entry points."""
+
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("call", [
+        lambda d: field_affinity_corank(complete_graph(4), d, [[]] * 4),
+        lambda d: generic_affine_rigidity_test(complete_graph(4), d, seed=1),
+        lambda d: rubber_band_embedding(complete_graph(4), d, seed=1),
+    ], ids=["field_affinity_corank", "generic_affine_rigidity_test",
+            "rubber_band_embedding"])
+    def test_non_positive_dimension_raises(self, call, d):
+        with pytest.raises(InvalidInputError, match="dimension must be positive"):
+            call(d)
+
+
+@pytest.fixture
+def sparse_builders(monkeypatch):
+    monkeypatch.setattr(rigidity, "_SPARSE_MIN_COLUMNS", 0)
+
+
+class TestSparseStorage:
+    """From ``_SPARSE_MIN_COLUMNS`` columns on, the builders store the same
+    entries as a ``SparseMatrix``, and every reader accepts it."""
+
+    def test_default_threshold_splits_benchmark_sizes(self):
+        small = generic_framework(neighborhood_hypergraph(hexagonal_torus(15, 15)), 2,
+                                  seed=1)
+        large = generic_framework(neighborhood_hypergraph(hexagonal_torus(16, 16)), 2,
+                                  seed=1)
+        assert isinstance(strong_affinity_matrix(small).matrix, np.ndarray)
+        assert isinstance(strong_affinity_matrix(large).matrix, numkernel.SparseMatrix)
+
+    def test_same_entries_on_both_routes(self, monkeypatch):
+        fw = generic_framework(hexagonal_torus(4, 4), 2, seed=2)
+        nbh = Framework(neighborhood_hypergraph(fw.structure), fw.coordinates)
+        dense = (strong_affinity_matrix(nbh).matrix,
+                 nonsymmetric_stress(fw, seed=3).matrix)
+        monkeypatch.setattr(rigidity, "_SPARSE_MIN_COLUMNS", 0)
+        sparse = (strong_affinity_matrix(nbh).matrix,
+                  nonsymmetric_stress(fw, seed=3).matrix)
+        for d, s in zip(dense, sparse):
+            assert isinstance(s, numkernel.SparseMatrix)
+            np.testing.assert_array_equal(s.toarray(), d)
+
+    def test_residuals_match_the_dense_ones(self, monkeypatch):
+        gamma = trilateration_graph(12, 2, seed=4)
+        fw = generic_framework(gamma, 2, seed=5)
+        nbh = Framework(neighborhood_hypergraph(gamma), fw.coordinates)
+        dense = (affinity_residuals(strong_affinity_matrix(nbh), nbh),
+                 stress_residuals(nonsymmetric_stress(fw, seed=6), fw))
+        monkeypatch.setattr(rigidity, "_SPARSE_MIN_COLUMNS", 0)
+        sparse = (affinity_residuals(strong_affinity_matrix(nbh), nbh),
+                  stress_residuals(nonsymmetric_stress(fw, seed=6), fw))
+        for d, s in zip(dense, sparse):
+            assert s.keys() == d.keys()
+            for key in d:
+                assert s[key] == pytest.approx(d[key], rel=1e-6, abs=1e-14), key
+
+    def test_off_support_and_non_edge_entries_are_reported(self, sparse_builders):
+        gamma = trilateration_graph(10, 2, seed=3)
+        fw = generic_framework(gamma, 2, seed=103)
+        stress = nonsymmetric_stress(fw, seed=3).matrix
+        u, w = next(
+            (u, w) for u in range(10) for w in range(u) if not gamma.has_edge(u, w)
+        )
+        tampered = numkernel.SparseMatrix(
+            np.append(stress.rows, u), np.append(stress.cols, w),
+            np.append(stress.values, -0.25), stress.shape)
+        assert stress_residuals(StressMatrix(tampered, False), fw)["sparsity"] == 0.25
+        nbh = Framework(neighborhood_hypergraph(gamma), fw.coordinates)
+        affinity = strong_affinity_matrix(nbh)
+        support = nbh.structure.hyperedges[affinity.row_provenance[0]]
+        outside = next(c for c in range(10) if c not in support)
+        matrix = affinity.matrix
+        bad = AffinityMatrix(numkernel.SparseMatrix(
+            np.append(matrix.rows, 0), np.append(matrix.cols, outside),
+            np.append(matrix.values, 0.5), matrix.shape), affinity.row_provenance, True)
+        assert affinity_residuals(bad, nbh)["off_support"] == 0.5
+
+    def test_psd_route_certifies_with_a_sparse_stress(self, sparse_builders):
+        gamma = hexagonal_torus(3, 3)
+        fw = generic_framework(gamma, 2, seed=53)
+        result = universal_rigidity_certificate(fw, via="psd-stress", seed=54)
+        assert result.certified
+        assert isinstance(result.stress.matrix, numkernel.SparseMatrix)
+        eigs = np.linalg.eigvalsh(result.stress.matrix.toarray())
+        assert int(np.count_nonzero(eigs > 1e-9 * eigs[-1])) == gamma.vertex_count - 3
+        res = stress_residuals(result.stress, Framework(squared_graph(gamma),
+                                                        fw.coordinates))
+        assert res["sparsity"] <= 1e-12 and res["symmetry"] <= 1e-12
