@@ -12,12 +12,14 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
 
 import numpy as np
 
 from .errors import AffrigError
 from .hypergraph import Graph, Hypergraph
-from .registration import Scan, ScanSet
+from .registration import ScanSet, SizeClass
+from .rigidity import _positions_by_key
 
 FORMAT_VERSION = 1
 
@@ -143,19 +145,30 @@ def _int_field(doc: dict, field: str):
     return value
 
 
+_NUMBER_TYPES = {int, float, bool}
+_DOUBLE_MAX = sys.float_info.max
+_LABEL_MAX = int(np.iinfo(np.int64).max)
+
+
 def _point_list(rows, path: str, dim: int) -> np.ndarray:
-    points = []
+    """Rows of ``dim`` JSON numbers as a (len(rows), dim) array of finite floats."""
     for index, row in enumerate(rows):
         if (
-            not isinstance(row, list)
+            type(row) is not list
             or len(row) != dim
-            or not all(isinstance(x, (int, float)) for x in row)
+            or not all(type(x) in _NUMBER_TYPES for x in row)
         ):
             raise FormatError(
                 f"expected a point with {dim} coordinates", path=f"{path}[{index}]"
             )
-        points.append([float(x) for x in row])
-    return np.array(points) if points else np.zeros((0, dim))
+        for axis, x in enumerate(row):
+            # False for NaN, infinities and integers beyond the double range.
+            if not abs(x) <= _DOUBLE_MAX:
+                raise FormatError(
+                    "coordinate is not a finite double",
+                    path=f"{path}[{index}][{axis}]",
+                )
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
 def structure_from_document(doc: dict) -> Graph | Hypergraph:
@@ -197,8 +210,72 @@ def coordinates_from_document(doc: dict) -> np.ndarray:
     return _point_list(rows, "$.coordinates", dim)
 
 
+def _check_scan(entry: dict, path: str, dim: int) -> None:
+    """Raise a FormatError at the first fault of one scan, if it has one."""
+    members = entry["hyperedge"]
+    if type(members) is not list or not all(
+        type(u) is int and 0 <= u <= _LABEL_MAX for u in members
+    ):
+        raise FormatError(
+            "hyperedge must be a list of vertex labels", path=f"{path}.hyperedge"
+        )
+    coords = entry["coordinates"]
+    if type(coords) is not list:
+        raise FormatError("coordinates must be a list", path=f"{path}.coordinates")
+    points = _point_list(coords, f"{path}.coordinates", dim)
+    if points.shape[0] != len(members):
+        raise FormatError(
+            f"{len(members)} members but {points.shape[0]} points", path=path
+        )
+    if not members or len(set(members)) != len(members):
+        raise FormatError(
+            "hyperedge must list at least one vertex, each once",
+            path=f"{path}.hyperedge",
+        )
+
+
+def _size_classes(entries: list, dim: int) -> list[SizeClass] | None:
+    """The scans as one ``SizeClass`` per size k, or None if a scan is faulty.
+
+    Makes the checks of ``_check_scan``, with array operations on all scans
+    of one size at a time.
+    """
+    hyperedges = [entry["hyperedge"] for entry in entries]
+    charts = [entry["coordinates"] for entry in entries]
+    if not all(type(h) is list and type(c) is list and len(h) == len(c)
+               for h, c in zip(hyperedges, charts)):
+        return None
+    classes = []
+    for k, positions in _positions_by_key(map(len, hyperedges)).items():
+        labels = list(chain.from_iterable(hyperedges[i] for i in positions))
+        points = list(chain.from_iterable(charts[i] for i in positions))
+        # An empty class (k = 0) fails the first test: it has no labels.
+        if (set(map(type, labels)) != {int} or set(map(type, points)) != {list}
+                or set(map(len, points)) != {dim}):
+            return None
+        values = list(chain.from_iterable(points))
+        if not set(map(type, values)) <= _NUMBER_TYPES:
+            return None
+        try:
+            members = np.array(labels, dtype=np.int64).reshape(-1, k)
+            coordinates = np.array(values, dtype=float).reshape(-1, k, dim)
+        except OverflowError:  # a label beyond int64 or a number beyond a double
+            return None
+        ordered = np.sort(members, axis=1)
+        if (ordered[:, 0].min() < 0 or (ordered[:, 1:] == ordered[:, :-1]).any()
+                or not np.isfinite(coordinates).all()):
+            return None
+        classes.append(SizeClass(np.array(positions), members, coordinates))
+    return classes
+
+
 def scan_set_from_document(doc: dict) -> ScanSet:
-    """Build a scan set; vertex_count is inferred from the largest label."""
+    """Build a scan set; vertex_count is inferred from the largest label.
+
+    The scans are checked and stored one size class at a time. When a check
+    fails, the scans are checked again one by one, in document order, to
+    name the first faulty scan and its first fault.
+    """
     if doc["type"] != "scanset":
         raise FormatError(
             f"expected a scanset document, got {doc['type']!r}", path="$.type"
@@ -209,30 +286,13 @@ def scan_set_from_document(doc: dict) -> ScanSet:
     trust = doc.get("trust")
     if trust not in ("affine", "euclidean"):
         raise FormatError(f"unknown trust class {trust!r}", path="$.trust")
-    scans = []
-    top = -1
-    for index, entry in enumerate(doc["scans"]):
-        members = entry["hyperedge"]
-        path = f"$.scans[{index}]"
-        if not isinstance(members, list) or not all(
-            isinstance(u, int) and not isinstance(u, bool) and u >= 0 for u in members
-        ):
-            raise FormatError(
-                "hyperedge must be a list of vertex labels", path=f"{path}.hyperedge"
-            )
-        coords = entry["coordinates"]
-        if not isinstance(coords, list):
-            raise FormatError(
-                "coordinates must be a list", path=f"{path}.coordinates"
-            )
-        points = _point_list(coords, f"{path}.coordinates", dim)
-        if points.shape[0] != len(members):
-            raise FormatError(
-                f"{len(members)} members but {points.shape[0]} points", path=path
-            )
-        top = max(top, max(members, default=-1))
-        scans.append(Scan(tuple(members), points))
-    return ScanSet(top + 1, tuple(scans), trust)
+    classes = _size_classes(doc["scans"], dim)
+    if classes is None:
+        for index, entry in enumerate(doc["scans"]):
+            _check_scan(entry, f"$.scans[{index}]", dim)
+        raise AssertionError("the size-class checks failed a valid scan set")
+    top = max((int(members.max()) for _, members, _ in classes), default=-1)
+    return ScanSet.from_classes(top + 1, classes, trust)
 
 
 def document_from_structure(structure: Graph | Hypergraph) -> dict:
@@ -262,18 +322,18 @@ def document_from_coordinates(coordinates: np.ndarray) -> dict:
 
 
 def document_from_scan_set(scan_set: ScanSet) -> dict:
+    scans = [None] * len(scan_set)
+    for positions, members, charts in scan_set.classes:
+        for position, hyperedge, coordinates in zip(
+            positions.tolist(), members.tolist(), charts.tolist()
+        ):
+            scans[position] = {"hyperedge": hyperedge, "coordinates": coordinates}
     return {
         "version": FORMAT_VERSION,
         "type": "scanset",
         "dim": scan_set.dim,
         "trust": scan_set.trust,
-        "scans": [
-            {
-                "hyperedge": list(scan.members),
-                "coordinates": [[float(x) for x in row] for row in scan.coordinates],
-            }
-            for scan in scan_set.scans
-        ],
+        "scans": scans,
     }
 
 

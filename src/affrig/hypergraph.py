@@ -238,17 +238,58 @@ def _has_disjoint_paths(
     return True
 
 
+def _connectivity_up_to_two(gamma: Graph) -> int:
+    """0 if ``gamma`` is disconnected, 1 if it has a cut vertex, else 2.
+
+    One depth-first search from vertex 0 with low points (Hopcroft and
+    Tarjan, CACM 1973): low[u] is the least discovery index that u's subtree
+    reaches by one edge. A non-root vertex p is a cut vertex iff a child u
+    of p has low[u] >= order[p], the root iff it has two children; the edge
+    from u back to p cannot change that test, so it is not told apart. The
+    search keeps its own stack, so it costs O(|V| + |E|) without recursion.
+    """
+    adjacency = gamma.adjacency
+    order = [-1] * gamma.vertex_count  # discovery index; -1: unvisited
+    low = [0] * gamma.vertex_count
+    order[0] = 0
+    visited = 1
+    root_children = 0
+    cut = False
+    stack = [(0, -1, iter(adjacency[0]))]
+    while stack:
+        u, parent, neighbors = stack[-1]
+        for w in neighbors:
+            if order[w] < 0:
+                order[w] = low[w] = visited
+                visited += 1
+                stack.append((w, u, iter(adjacency[w])))
+                break
+            low[u] = min(low[u], order[w])
+        else:
+            stack.pop()
+            if parent == 0:
+                root_children += 1
+            elif parent > 0:
+                low[parent] = min(low[parent], low[u])
+                cut = cut or low[u] >= order[parent]
+    if visited < gamma.vertex_count:
+        return 0
+    return 1 if cut or root_children > 1 else 2
+
+
 def is_k_vertex_connected(gamma: Graph, k: int) -> bool:
-    """Exact k-vertex-connectivity by Menger's theorem on the split network.
+    """Exact k-vertex-connectivity.
 
     True iff the graph has more than k vertices and no vertex cut of size
     below k; complete graphs count as k-connected for all k < n. Graphs with
     at most k vertices are reported not k-connected (the standard convention).
 
-    The vertex-split network is built once per call. Each checked pair of
-    non-adjacent vertices resets its unit capacities and runs at most k
-    breadth-first augmenting-path searches (Even, SIAM J. Comput. 1975), so
-    the cost is O(k * |E|) per pair and there is no recursion.
+    For k <= 2 one depth-first search finds cut vertices in O(|V| + |E|).
+    For k >= 3 Menger's theorem is checked on the vertex-split network,
+    built once per call: each checked pair of non-adjacent vertices resets
+    its unit capacities and runs at most k breadth-first augmenting-path
+    searches (Even, SIAM J. Comput. 1975), so the cost is O(k * |E|) per
+    pair. Neither route recurses.
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
@@ -261,6 +302,8 @@ def is_k_vertex_connected(gamma: Graph, k: int) -> bool:
         # neighborhood; with n > k no vertex can be adjacent to all others
         # while having degree < k.
         return False
+    if k <= 2:
+        return _connectivity_up_to_two(gamma) >= k
     head, target = _split_network(gamma)
     # Any minimum cut either avoids the pivot (then it separates the pivot
     # from some non-neighbor) or contains it (then it separates two

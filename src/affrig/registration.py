@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .numkernel import DEFAULT_REL_TOL
 from .rigidity import (
     Framework,
     _affinity_from_blocks,
-    _blocks_by_size,
     _conic_system,
+    _positions_by_key,
     _require_vertices,
 )
 
@@ -68,33 +69,84 @@ class Scan:
         object.__setattr__(self, "members", tuple(int(u) for u in self.members))
 
 
-@dataclass(frozen=True, eq=False)
+class SizeClass(NamedTuple):
+    """The scans of one size k: their positions in the scan set (n,), their
+    members (n, k) and their charts (n, k, d)."""
+
+    positions: np.ndarray
+    members: np.ndarray
+    charts: np.ndarray
+
+
 class ScanSet:
-    """A collection of scans over a common vertex set."""
+    """A collection of scans over a common vertex set.
 
-    vertex_count: int
-    scans: tuple[Scan, ...]
-    trust: str
+    The scans are stored once per size k, as a ``SizeClass`` of read-only
+    arrays; ``scans`` gives them as ``Scan`` views, built on first use.
+    ``ScanSet(vertex_count, scans, trust)`` groups ``Scan`` objects.
+    """
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, scans: Iterable[Scan], trust: str):
+        scans = tuple(scans)
+        groups = _positions_by_key(
+            (len(scan.members), scan.coordinates.shape[1]) for scan in scans
+        )
+        self._adopt(vertex_count, [
+            SizeClass(
+                np.array(positions),
+                np.array([scans[i].members for i in positions]),
+                np.stack([scans[i].coordinates for i in positions]),
+            )
+            for positions in groups.values()
+        ], trust)
+
+    @classmethod
+    def from_classes(
+        cls, vertex_count: int, classes: Iterable[SizeClass], trust: str
+    ) -> ScanSet:
+        """A scan set of size classes whose positions number the scans."""
+        scan_set = cls.__new__(cls)
+        scan_set._adopt(vertex_count, classes, trust)
+        return scan_set
+
+    def _adopt(self, vertex_count: int, classes: Iterable[SizeClass], trust: str):
+        if vertex_count < 1:
             raise InvalidInputError("vertex_count must be positive")
-        if self.trust not in (AFFINE, EUCLIDEAN):
-            raise InvalidInputError(f"unknown trust class {self.trust!r}")
-        if not self.scans:
+        if trust not in (AFFINE, EUCLIDEAN):
+            raise InvalidInputError(f"unknown trust class {trust!r}")
+        classes = tuple(classes)
+        if not classes:
             raise InvalidInputError("a scan set needs at least one scan")
-        dims = {scan.coordinates.shape[1] for scan in self.scans}
+        dims = sorted({size_class.charts.shape[2] for size_class in classes})
         if len(dims) != 1:
-            raise InvalidInputError(f"scans disagree on dimension: {sorted(dims)}")
-        for scan in self.scans:
-            for u in scan.members:
-                if not 0 <= u < self.vertex_count:
-                    raise InvalidInputError(f"scan vertex {u} out of range")
-        object.__setattr__(self, "scans", tuple(self.scans))
+            raise InvalidInputError(f"scans disagree on dimension: {dims}")
+        for size_class in classes:
+            members = size_class.members
+            outside = members[(members < 0) | (members >= vertex_count)]
+            if outside.size:
+                raise InvalidInputError(f"scan vertex {outside[0]} out of range")
+            for array in size_class:
+                array.flags.writeable = False
+        self.vertex_count = vertex_count
+        self.classes = classes
+        self.trust = trust
+
+    def __len__(self) -> int:
+        return sum(len(size_class.positions) for size_class in self.classes)
 
     @property
     def dim(self) -> int:
-        return self.scans[0].coordinates.shape[1]
+        return self.classes[0].charts.shape[2]
+
+    @cached_property
+    def scans(self) -> tuple[Scan, ...]:
+        """The scans in their order."""
+        scans = [None] * len(self)
+        for positions, members, charts in self.classes:
+            for position, row, chart in zip(positions.tolist(), members.tolist(),
+                                            charts):
+                scans[position] = Scan(tuple(row), chart)
+        return tuple(scans)
 
     def hypergraph(self) -> Hypergraph:
         """The hypergraph whose hyperedges are the scanned vertex sets."""
@@ -103,10 +155,15 @@ class ScanSet:
         )
 
     def covered_vertices(self) -> set[int]:
-        covered: set[int] = set()
-        for scan in self.scans:
-            covered.update(scan.members)
-        return covered
+        return set(np.flatnonzero(_coverage(self)).tolist())
+
+
+def _coverage(scan_set: ScanSet) -> np.ndarray:
+    """How many scans cover each vertex."""
+    return np.bincount(
+        np.concatenate([members.ravel() for _, members, _ in scan_set.classes]),
+        minlength=scan_set.vertex_count,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,13 +257,6 @@ def _diameter(points: np.ndarray) -> float:
     return float(np.linalg.norm(spread))
 
 
-def _scans_by_size(
-    scan_set: ScanSet,
-) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Scan indices, members (n, k) and charts (n, k, d) per scan size k."""
-    return _blocks_by_size((scan.members, scan.coordinates) for scan in scan_set.scans)
-
-
 def _scan_residuals(
     scan_set: ScanSet, config: np.ndarray, gauge: str
 ) -> list[float]:
@@ -217,8 +267,8 @@ def _scan_residuals(
     """
     fit = best_fit_euclidean if gauge == EUCLIDEAN else best_fit_affine
     scale = max(_diameter(config), 1e-300)
-    residuals = np.empty(len(scan_set.scans))
-    for indices, members, charts in _scans_by_size(scan_set):
+    residuals = np.empty(len(scan_set))
+    for indices, members, charts in scan_set.classes:
         _, _, errors = fit(charts, config[members])
         residuals[indices] = errors / scale
     return residuals.tolist()
@@ -229,13 +279,11 @@ def _affine_configuration(
 ) -> tuple[np.ndarray, dict]:
     """The affine-gauge configuration and the diagnostics of its rank decision."""
     v, d = scan_set.vertex_count, scan_set.dim
-    missing = set(range(v)) - scan_set.covered_vertices()
-    if missing:
-        raise InvalidInputError(f"vertices {sorted(missing)} appear in no scan")
+    missing = np.flatnonzero(_coverage(scan_set) == 0)
+    if missing.size:
+        raise InvalidInputError(f"vertices {missing.tolist()} appear in no scan")
     _require_vertices(v, d)
-    affinity = _affinity_from_blocks(
-        v, ((scan.members, scan.coordinates) for scan in scan_set.scans), rel_tol
-    )
+    affinity = _affinity_from_blocks(v, scan_set.classes, rel_tol)
     kernel = numkernel.numerical_kernel(affinity.matrix, rel_tol)
     corank = kernel.dimension
     if corank > d + 1:
@@ -353,12 +401,13 @@ def euclidean_register(
     config, diagnostics = _affine_configuration(scan_set, rel_tol)
     # Every pair inside every scan, scans in order, pairs (a, b) with a < b
     # in member order; the Gram fit is not invariant to reordering its rows.
-    pair_counts = [len(scan.members) * (len(scan.members) - 1) // 2
-                   for scan in scan_set.scans]
-    offsets = np.concatenate([[0], np.cumsum(pair_counts)]).astype(int)
+    pair_counts = np.empty(len(scan_set), dtype=int)
+    for indices, members, _ in scan_set.classes:
+        pair_counts[indices] = members.shape[1] * (members.shape[1] - 1) // 2
+    offsets = np.concatenate([[0], np.cumsum(pair_counts)])
     pairs = np.empty((offsets[-1], 2), dtype=int)
     squares = np.empty(offsets[-1])
-    for indices, members, charts in _scans_by_size(scan_set):
+    for indices, members, charts in scan_set.classes:
         a, b = np.triu_indices(members.shape[1], 1)
         rows = offsets[indices][:, None] + np.arange(len(a))
         pairs[rows, 0] = members[:, a]

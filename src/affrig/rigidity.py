@@ -149,29 +149,12 @@ def affine_span_dimension(coordinates, rel_tol: float = DEFAULT_REL_TOL) -> int:
     return numkernel.numerical_rank(centered, rel_tol)
 
 
-def _blocks_by_size(
-    blocks: Iterable[tuple[Sequence[int], np.ndarray]],
-) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Group (members, chart) blocks by their number of points k.
-
-    Per k: the block indices in order, their members stacked (n, k) and
-    their charts stacked (n, k, d).
-    """
-    groups: dict[int, list[int]] = {}
-    members_of: list[Sequence[int]] = []
-    charts: list[np.ndarray] = []
-    for index, (members, chart) in enumerate(blocks):
-        members_of.append(members)
-        charts.append(chart)
-        groups.setdefault(len(members), []).append(index)
-    return [
-        (
-            indices,
-            np.array([members_of[i] for i in indices]),
-            np.stack([charts[i] for i in indices]),
-        )
-        for indices in groups.values()
-    ]
+def _positions_by_key(keys: Iterable) -> dict:
+    """The positions of each distinct key, in order of first appearance."""
+    groups: dict = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    return groups
 
 
 def _normalized_charts(charts: np.ndarray) -> np.ndarray:
@@ -212,29 +195,29 @@ def _assemble(
 
 def _affinity_from_blocks(
     vertex_count: int,
-    blocks: Iterable[tuple[Sequence[int], np.ndarray]],
+    classes: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
     rel_tol: float,
 ) -> AffinityMatrix:
-    """Affinity rows of (members, chart) blocks, scattered into v columns.
+    """Affinity rows of blocks given per size k, scattered into v columns.
 
-    ``chart[k]`` is the point of ``members[k]`` in any affine chart of the
-    block, since affine relations do not depend on the chart. Row provenance
-    is the block index. Each chart is therefore first centered and scaled
-    to unit RMS radius, so that the cutoff separates the same relations
-    wherever the block sits and at any scale: a lift of points far from the
-    origin, or of a tiny or huge block, would otherwise lose or gain
-    relations to rounding.
+    Each class holds its blocks' positions (n,), members (n, k) and charts
+    (n, k, d); ``charts[i, j]`` is the point of ``members[i, j]`` in any
+    affine chart of block i, since affine relations do not depend on the
+    chart. Row provenance is the block position. Each chart is therefore
+    first centered and scaled to unit RMS radius, so that the cutoff
+    separates the same relations wherever the block sits and at any scale:
+    a lift of points far from the origin, or of a tiny or huge block, would
+    otherwise lose or gain relations to rounding.
 
-    The lifts [ones; chart transposed] of all blocks of one size are
-    factored by one stacked SVD, whose slices equal ``numerical_kernel`` on
-    each lift bit for bit; rows are scattered in block order, into a dense
-    or a sparse matrix by the column count (``_assemble``).
+    The lifts [ones; chart transposed] of a class are factored by one
+    stacked SVD, whose slices equal ``numerical_kernel`` on each lift bit
+    for bit; rows are scattered in block order, into a dense or a sparse
+    matrix by the column count (``_assemble``).
     """
-    groups = _blocks_by_size(blocks)
-    count = sum(len(indices) for indices, _, _ in groups)
+    count = sum(len(indices) for indices, _, _ in classes)
     dims = np.zeros(count, dtype=int)
     factored = []
-    for indices, members, charts in groups:
+    for indices, members, charts in classes:
         ones = np.ones(members.shape + (1,))
         charts = _normalized_charts(charts)
         lifts = np.swapaxes(np.concatenate([ones, charts], axis=-1), -1, -2)
@@ -270,11 +253,12 @@ def strong_affinity_matrix(
     theta = as_hypergraph(framework.structure)
     v = framework.vertex_count
     _require_vertices(v, framework.dim)
-    blocks = [
-        (members, framework.coordinates[members])
-        for members in map(sorted, theta.hyperedges)
-    ]
-    return _affinity_from_blocks(v, blocks, rel_tol)
+    hyperedges = [sorted(h) for h in theta.hyperedges]
+    classes = []
+    for positions in _positions_by_key(map(len, hyperedges)).values():
+        members = np.array([hyperedges[i] for i in positions])
+        classes.append((positions, members, framework.coordinates[members]))
+    return _affinity_from_blocks(v, classes, rel_tol)
 
 
 def affinity_corank(

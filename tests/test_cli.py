@@ -404,6 +404,26 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
 
+    def test_numbers_beyond_a_double_exit_2_without_traceback(self, tmp_path,
+                                                              capsys):
+        src = write_structure(tmp_path, "fig1.json", fig1_hypergraph())
+        coords = formats.document_from_coordinates(np.zeros((6, 2)))
+        coords["coordinates"][3][1] = 10**400
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(coords))
+        assert main(["test", src, "--dim", "2", "--mode", "framework",
+                     "--framework", str(big), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "$.coordinates[3][1]" in err and "Traceback" not in err
+        scans = formats.document_from_scan_set(synthetic_scan_set(
+            generic_framework(fig1_hypergraph(), 2, seed=1), seed=2))
+        scans["scans"][2]["coordinates"][1][0] = -(10**400)
+        big.write_text(json.dumps(scans))
+        assert main(["register", str(big), "-o", str(tmp_path / "out.json"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "$.scans[2].coordinates[1][0]" in err and "Traceback" not in err
+
     def test_recursion_error_exits_2_without_traceback(self, tmp_path,
                                                        monkeypatch, capsys):
         def overflow(gamma, k):

@@ -145,6 +145,29 @@ class TestValidation:
             scan_set_from_document(parse_document(serialize(doc)))
         assert "$.scans[0]" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "number",
+        ["1e400", "-1e400", "1" + "0" * 400],
+        ids=["1e400", "-1e400", "10**400"],
+    )
+    def test_numbers_beyond_a_double(self, number):
+        framework = serialize(document_from_coordinates(np.arange(6.0).reshape(3, 2)))
+        doc = parse_document(framework.replace("3.0", number))
+        with pytest.raises(FormatError) as info:
+            coordinates_from_document(doc)
+        assert info.value.path == "$.coordinates[1][1]"
+        scans = {
+            "version": 1, "type": "scanset", "dim": 2, "trust": "affine",
+            "scans": [
+                {"hyperedge": [0, 1], "coordinates": [[0.0, 0.0], [2.0, 0.0]]},
+                {"hyperedge": [1, 2], "coordinates": [[0.0, 0.0], [1.0, 0.0]]},
+            ],
+        }
+        doc = parse_document(serialize(scans).replace("1.0", number))
+        with pytest.raises(FormatError) as info:
+            scan_set_from_document(doc)
+        assert info.value.path == "$.scans[1].coordinates[1][0]"
+
     def test_vertex_count_inferred_from_labels(self):
         doc = {
             "version": 1,

@@ -8,8 +8,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from affrig import numkernel, registration, rigidity  # noqa: E402
-from affrig.errors import NumericalRankError  # noqa: E402
+from affrig import formats, numkernel, registration, rigidity  # noqa: E402
+from affrig.errors import InvalidInputError, NumericalRankError  # noqa: E402
 from affrig.families import (  # noqa: E402
     complete_graph,
     complete_k_hypergraph,
@@ -580,3 +580,150 @@ class TestFloatAgainstFieldCorank:
         framework = rigidity.Framework(theta, np.array(coords, float))
         assert on_route(route, lambda: rigidity.affinity_corank(
             rigidity.strong_affinity_matrix(framework))) == exact
+
+
+def per_scan_scan_set(doc):
+    """Oracle: the per-scan parser that the size-class parser replaced.
+
+    Its checks and their order are the old ``scan_set_from_document``'s;
+    the faults that ``Scan`` rejects (no members, a repeated member) are
+    reported at the scan's hyperedge, and coordinates go through the
+    current ``formats._point_list``.
+    """
+    dim, trust = doc["dim"], doc["trust"]
+    scans = []
+    top = -1
+    for index, entry in enumerate(doc["scans"]):
+        members = entry["hyperedge"]
+        path = f"$.scans[{index}]"
+        if not isinstance(members, list) or not all(
+            isinstance(u, int) and not isinstance(u, bool) and u >= 0 for u in members
+        ):
+            raise formats.FormatError(
+                "hyperedge must be a list of vertex labels", path=f"{path}.hyperedge"
+            )
+        coords = entry["coordinates"]
+        if not isinstance(coords, list):
+            raise formats.FormatError(
+                "coordinates must be a list", path=f"{path}.coordinates"
+            )
+        points = formats._point_list(coords, f"{path}.coordinates", dim)
+        if points.shape[0] != len(members):
+            raise formats.FormatError(
+                f"{len(members)} members but {points.shape[0]} points", path=path
+            )
+        try:
+            scans.append(registration.Scan(tuple(members), points))
+        except InvalidInputError as error:
+            raise formats.FormatError(str(error), path=f"{path}.hyperedge") from None
+        top = max(top, max(members, default=-1))
+    return registration.ScanSet(top + 1, tuple(scans), trust)
+
+
+@st.composite
+def scan_documents(draw):
+    """A valid scanset document: scans of mixed sizes, int and float numbers."""
+    dim = draw(st.integers(1, 3))
+    number = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False), st.integers(-1000, 1000)
+    )
+    scans = []
+    for _ in range(draw(st.integers(1, 8))):
+        members = draw(st.lists(st.integers(0, 15), min_size=1, max_size=5,
+                                unique=True))
+        points = draw(st.lists(st.lists(number, min_size=dim, max_size=dim),
+                               min_size=len(members), max_size=len(members)))
+        scans.append({"hyperedge": members, "coordinates": points})
+    trust = draw(st.sampled_from(["affine", "euclidean"]))
+    return {"version": 1, "type": "scanset", "dim": dim, "trust": trust,
+            "scans": scans}
+
+
+SCAN_FAULTS = [
+    "bool member", "negative label", "repeated member", "ragged chart",
+    "string member", "string coordinate", "null member", "null coordinate",
+    "infinite coordinate", "huge-int coordinate", "missing point",
+    "extra point", "mixed d", "no members",
+]
+
+
+def corrupt(scan, fault, dim, rng):
+    """Give one scan of a valid document the named fault."""
+    members, points = scan["hyperedge"], scan["coordinates"]
+    j = rng.randrange(len(members))
+    axis = rng.randrange(dim)
+    if fault == "bool member":
+        members[j] = rng.choice([True, False])
+    elif fault == "negative label":
+        members[j] = -rng.randint(1, 5)
+    elif fault == "repeated member":
+        members.append(members[j])
+        points.append(list(points[j]))
+    elif fault == "ragged chart":
+        longer = dim == 1 or rng.random() < 0.5
+        points[j] = points[j] + [0.5] if longer else points[j][1:]
+    elif fault == "string member":
+        members[j] = "v1"
+    elif fault == "string coordinate":
+        points[j][axis] = "1.0"
+    elif fault == "null member":
+        members[j] = None
+    elif fault == "null coordinate":
+        points[j][axis] = None
+    elif fault == "infinite coordinate":  # what JSON's 1e400 parses to
+        points[j][axis] = rng.choice([float("inf"), -float("inf"), float("nan")])
+    elif fault == "huge-int coordinate":
+        points[j][axis] = rng.choice([1, -1]) * 10**400
+    elif fault == "missing point":
+        points.pop(j)
+    elif fault == "extra point":
+        points.append([0.0] * dim)
+    elif fault == "mixed d":
+        scan["coordinates"] = [point + [1.0] for point in points]
+    elif fault == "no members":
+        scan["hyperedge"], scan["coordinates"] = [], []
+
+
+def error_path(parse, doc):
+    """The JSON path of the FormatError that ``parse`` raises on ``doc``."""
+    with pytest.raises(formats.FormatError) as info:
+        parse(doc)
+    return info.value.path
+
+
+class TestScanParserAgainstPerScan:
+    @PROPERTY_SETTINGS
+    @given(scan_documents())
+    def test_valid_documents(self, doc):
+        expected = per_scan_scan_set(doc)
+        parsed = formats.scan_set_from_document(doc)
+        assert parsed.vertex_count == expected.vertex_count
+        assert (parsed.dim, parsed.trust) == (expected.dim, expected.trust)
+        assert len(parsed.scans) == len(expected.scans)
+        for mine, theirs in zip(parsed.scans, expected.scans):
+            assert mine.members == theirs.members
+            assert np.array_equal(mine.coordinates, theirs.coordinates)
+        for positions, members, charts in parsed.classes:
+            assert not (members.flags.writeable or charts.flags.writeable)
+            assert members.dtype == np.int64 and charts.dtype == np.float64
+            for position, row, chart in zip(positions, members, charts):
+                assert tuple(row.tolist()) == expected.scans[position].members
+                assert np.array_equal(chart, expected.scans[position].coordinates)
+        assert formats.document_from_scan_set(parsed) == formats.document_from_scan_set(
+            expected
+        )
+
+    @pytest.mark.parametrize("fault", SCAN_FAULTS)
+    @settings(PROPERTY_SETTINGS, max_examples=12)
+    @given(scan_documents(), st.randoms(use_true_random=False))
+    def test_faulty_documents(self, fault, doc, rng):
+        # The fault goes into one scan, and often a random second fault into
+        # another; the error names the first faulty scan.
+        scans = doc["scans"]
+        index = rng.randrange(len(scans))
+        corrupt(scans[index], fault, doc["dim"], rng)
+        others = [i for i in range(len(scans)) if i != index]
+        if others and rng.random() < 0.5:
+            corrupt(scans[rng.choice(others)], rng.choice(SCAN_FAULTS), doc["dim"], rng)
+        expected = error_path(per_scan_scan_set, doc)
+        assert error_path(formats.scan_set_from_document, doc) == expected

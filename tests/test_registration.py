@@ -61,8 +61,7 @@ def diameter(points):
 
 def chart_affinity(scans, rel_tol=DEFAULT_REL_TOL):
     """The affinity matrix built from the scans' own charts."""
-    blocks = ((scan.members, scan.coordinates) for scan in scans.scans)
-    return _affinity_from_blocks(scans.vertex_count, blocks, rel_tol)
+    return _affinity_from_blocks(scans.vertex_count, scans.classes, rel_tol)
 
 
 def rigid_scan_source(seed, vertex_count=7):
@@ -377,7 +376,8 @@ class TestStackedAgainstLoops:
             ([0, 8, 3, 1], points[[0, 8, 3, 1]]),
             ([7], points[[7]]),
         ]
-        built = _affinity_from_blocks(9, iter(blocks), DEFAULT_REL_TOL)
+        classes = ScanSet(9, [Scan(*block) for block in blocks], AFFINE).classes
+        built = _affinity_from_blocks(9, classes, DEFAULT_REL_TOL)
         matrix, provenance = looped_affinity(9, blocks)
         assert np.array_equal(built.matrix, matrix)
         assert built.row_provenance == provenance
