@@ -13,7 +13,7 @@ on the measured squared lengths upgrades the result to a Euclidean one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -127,9 +127,12 @@ class ScanSet:
                 raise InvalidInputError(f"scan vertex {outside[0]} out of range")
             for array in size_class:
                 array.flags.writeable = False
-        self.vertex_count = vertex_count
-        self.classes = classes
-        self.trust = trust
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "trust", trust)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
         return sum(len(size_class.positions) for size_class in self.classes)
@@ -155,15 +158,19 @@ class ScanSet:
         )
 
     def covered_vertices(self) -> set[int]:
-        return set(np.flatnonzero(_coverage(self)).tolist())
+        return set(_covered(self).tolist())
 
 
-def _coverage(scan_set: ScanSet) -> np.ndarray:
-    """How many scans cover each vertex."""
-    return np.bincount(
-        np.concatenate([members.ravel() for _, members, _ in scan_set.classes]),
-        minlength=scan_set.vertex_count,
-    )
+def _covered(scan_set: ScanSet) -> np.ndarray:
+    """The labels of the vertices that some scan covers, sorted.
+
+    Costs O(scans), not O(v): a document's v is one more than its largest
+    label, which may be far beyond the number of labels.
+    """
+    labels = np.concatenate([members.ravel() for _, members, _ in scan_set.classes])
+    if labels.size < scan_set.vertex_count:
+        return np.unique(labels)
+    return np.flatnonzero(np.bincount(labels, minlength=scan_set.vertex_count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,9 +286,13 @@ def _affine_configuration(
 ) -> tuple[np.ndarray, dict]:
     """The affine-gauge configuration and the diagnostics of its rank decision."""
     v, d = scan_set.vertex_count, scan_set.dim
-    missing = np.flatnonzero(_coverage(scan_set) == 0)
-    if missing.size:
-        raise InvalidInputError(f"vertices {missing.tolist()} appear in no scan")
+    covered = _covered(scan_set)
+    if covered.size < v:
+        first = np.setdiff1d(np.arange(min(v, covered.size + 5)), covered)[:5]
+        raise InvalidInputError(
+            f"{v - covered.size} of {v} vertices appear in no scan, "
+            f"the first {first.tolist()}"
+        )
     _require_vertices(v, d)
     affinity = _affinity_from_blocks(v, scan_set.classes, rel_tol)
     kernel = numkernel.numerical_kernel(affinity.matrix, rel_tol)

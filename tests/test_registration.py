@@ -99,6 +99,8 @@ class TestScanTypes:
         assert scans.dim == 2
         assert scans.covered_vertices() == set(range(7))
         assert scans.hypergraph().vertex_count == 7
+        with pytest.raises(AttributeError):
+            scans.vertex_count = 3
 
     def test_registration_config_is_frozen(self):
         reg = Registration(np.zeros((3, 2)), "affine", {})
@@ -259,8 +261,19 @@ class TestAffineRegister:
     def test_uncovered_vertex(self):
         scan = Scan((0, 1, 2, 3), np.random.default_rng(0).standard_normal((4, 2)))
         scans = ScanSet(5, (scan,), "affine")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"1 of 5 .* the first \[4\]"):
             affine_register(scans)
+
+    def test_far_label_gives_a_short_message(self):
+        # The check and its message scale with the scans, not the largest label.
+        scan = Scan((0, 1, 2, 3_000_000), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        scans = ScanSet(3_000_001, (scan,), "affine")
+        assert scans.covered_vertices() == {0, 1, 2, 3_000_000}
+        with pytest.raises(InvalidInputError) as info:
+            affine_register(scans)
+        assert str(info.value) == (
+            "2999997 of 3000001 vertices appear in no scan, the first [3, 4, 5, 6, 7]"
+        )
 
     def test_fewer_than_d_plus_one_vertices(self):
         # The guard shared with the rigidity tests, same type and message.
