@@ -12,14 +12,14 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain
+from bisect import bisect_right
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import AffrigError
 from .hypergraph import Graph, Hypergraph
 from .registration import ScanSet, SizeClass
-from .rigidity import _positions_by_key
 
 FORMAT_VERSION = 1
 
@@ -146,29 +146,76 @@ def _int_field(doc: dict, field: str):
 
 
 _NUMBER_TYPES = {int, float, bool}
+_LIST = {list}
+_INT = {int}
 _DOUBLE_MAX = sys.float_info.max
 _LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
+def _first_not_in(items: list, allowed: set, key=type) -> int:
+    """The index of the first item whose key is not in ``allowed``, or len(items)."""
+    if set(map(key, items)) <= allowed:
+        return len(items)
+    return next(i for i, item in enumerate(items) if key(item) not in allowed)
+
+
+def _is_label(u) -> bool:
+    return type(u) is int and 0 <= u <= _LABEL_MAX
+
+
+def _first_label_fault(labels: list) -> int:
+    """The index of the first item that is not a vertex label, or len(labels)."""
+    ints = labels[: _first_not_in(labels, _INT)]
+    if ints and 0 <= min(ints) and max(ints) <= _LABEL_MAX:  # a shortcut
+        return len(ints)
+    return _first_not_in(labels, {True}, _is_label)
+
+
+def _doubles(values: list) -> tuple[np.ndarray | None, int]:
+    """JSON numbers as doubles (None if an integer overflows them), and the
+    index of the first that is not a finite double, or len(values)."""
+    try:
+        array = np.array(values, dtype=float)
+        # Rounding is monotone: a magnitude below the largest double after
+        # conversion is below it before. Only the rest needs the exact walk.
+        if (np.abs(array) < _DOUBLE_MAX).all():
+            return array, len(values)
+    except OverflowError:
+        array = None
+    return array, next(
+        (i for i, x in enumerate(values) if not abs(x) <= _DOUBLE_MAX), len(values)
+    )
+
+
+def _point_rows(points: list, dim: int) -> tuple[np.ndarray | None, tuple | None]:
+    """The points as an (n, dim) array of doubles, and their first fault:
+    (the point's index, the path below the point, the message), or None.
+
+    Each check looks at the points, or their numbers, that passed the checks
+    before it, so it finds the fault that a point-by-point walk finds first:
+    a point's shape and number types come before its values.
+    """
+    count = _first_not_in(points, _LIST)
+    count = _first_not_in(points[:count], {dim}, len)
+    values = list(chain.from_iterable(points[:count]))
+    count = _first_not_in(values, _NUMBER_TYPES) // dim
+    array, finite = _doubles(values[: count * dim])
+    if finite < count * dim:
+        fault = finite // dim, f"[{finite % dim}]", "coordinate is not a finite double"
+    elif count < len(points):
+        fault = count, "", f"expected a point with {dim} coordinates"
+    else:
+        return array.reshape(count, dim), None
+    return None, fault
+
+
 def _point_list(rows, path: str, dim: int) -> np.ndarray:
     """Rows of ``dim`` JSON numbers as a (len(rows), dim) array of finite floats."""
-    for index, row in enumerate(rows):
-        if (
-            type(row) is not list
-            or len(row) != dim
-            or not all(type(x) in _NUMBER_TYPES for x in row)
-        ):
-            raise FormatError(
-                f"expected a point with {dim} coordinates", path=f"{path}[{index}]"
-            )
-        for axis, x in enumerate(row):
-            # False for NaN, infinities and integers beyond the double range.
-            if not abs(x) <= _DOUBLE_MAX:
-                raise FormatError(
-                    "coordinate is not a finite double",
-                    path=f"{path}[{index}][{axis}]",
-                )
-    return np.array(rows, dtype=float).reshape(len(rows), dim)
+    array, fault = _point_rows(rows, dim)
+    if fault is not None:
+        index, below, message = fault
+        raise FormatError(message, path=f"{path}[{index}]{below}")
+    return array
 
 
 def structure_from_document(doc: dict) -> Graph | Hypergraph:
@@ -210,71 +257,75 @@ def coordinates_from_document(doc: dict) -> np.ndarray:
     return _point_list(rows, "$.coordinates", dim)
 
 
-def _check_scan(entry: dict, path: str, dim: int) -> None:
-    """Raise a FormatError at the first fault of one scan, if it has one."""
-    members = entry["hyperedge"]
-    if type(members) is not list or not all(
-        type(u) is int and 0 <= u <= _LABEL_MAX for u in members
-    ):
-        raise FormatError(
-            "hyperedge must be a list of vertex labels", path=f"{path}.hyperedge"
-        )
-    coords = entry["coordinates"]
-    if type(coords) is not list:
-        raise FormatError("coordinates must be a list", path=f"{path}.coordinates")
-    points = _point_list(coords, f"{path}.coordinates", dim)
-    if points.shape[0] != len(members):
-        raise FormatError(
-            f"{len(members)} members but {points.shape[0]} points", path=path
-        )
-    if not members or len(set(members)) != len(members):
-        raise FormatError(
-            "hyperedge must list at least one vertex, each once",
-            path=f"{path}.hyperedge",
-        )
+def _size_classes(entries: list, dim: int) -> list[SizeClass]:
+    """The scans as one ``SizeClass`` per size k.
 
-
-def _size_classes(entries: list, dim: int) -> list[SizeClass] | None:
-    """The scans as one ``SizeClass`` per size k, or None if a scan is faulty.
-
-    Makes the checks of ``_check_scan``, with array operations on all scans
-    of one size at a time.
+    Raises a FormatError at the first fault of the first faulty scan. Each
+    check looks only at the scans before the first fault found so far, and
+    the checks run in the order a scan-by-scan walk makes them: labels,
+    chart, points, point count, then distinct members.
     """
     hyperedges = [entry["hyperedge"] for entry in entries]
     charts = [entry["coordinates"] for entry in entries]
-    if not all(type(h) is list and type(c) is list and len(h) == len(c)
-               for h, c in zip(hyperedges, charts)):
-        return None
-    classes = []
-    for k, positions in _positions_by_key(map(len, hyperedges)).items():
-        labels = list(chain.from_iterable(hyperedges[i] for i in positions))
-        points = list(chain.from_iterable(charts[i] for i in positions))
-        # An empty class (k = 0) fails the first test: it has no labels.
-        if (set(map(type, labels)) != {int} or set(map(type, points)) != {list}
-                or set(map(len, points)) != {dim}):
-            return None
-        values = list(chain.from_iterable(points))
-        if not set(map(type, values)) <= _NUMBER_TYPES:
-            return None
-        try:
-            members = np.array(labels, dtype=np.int64).reshape(-1, k)
-            coordinates = np.array(values, dtype=float).reshape(-1, k, dim)
-        except OverflowError:  # a label beyond int64 or a number beyond a double
-            return None
-        ordered = np.sort(members, axis=1)
-        if (ordered[:, 0].min() < 0 or (ordered[:, 1:] == ordered[:, :-1]).any()
-                or not np.isfinite(coordinates).all()):
-            return None
-        classes.append(SizeClass(np.array(positions), members, coordinates))
-    return classes
+    limit, fault = len(entries), None
+
+    count = _first_not_in(hyperedges, _LIST)
+    ends = list(accumulate(map(len, hyperedges[:count])))
+    labels = list(chain.from_iterable(hyperedges[:count]))
+    label = _first_label_fault(labels)
+    if label < len(labels):
+        count = bisect_right(ends, label)
+    if count < limit:
+        limit = count
+        fault = (".hyperedge", "hyperedge must be a list of vertex labels")
+
+    count = _first_not_in(charts[:limit], _LIST)
+    if count < limit:
+        limit = count
+        fault = (".coordinates", "coordinates must be a list")
+
+    coordinates, bad = _point_rows(list(chain.from_iterable(charts[:limit])), dim)
+    if bad is not None:
+        point, below, message = bad
+        point_ends = list(accumulate(map(len, charts[:limit])))
+        limit = bisect_right(point_ends, point)
+        point -= point_ends[limit - 1] if limit else 0
+        fault = (f".coordinates[{point}]{below}", message)
+
+    sizes = np.array(list(map(len, hyperedges[:limit])), dtype=int)
+    counts = np.array(list(map(len, charts[:limit])), dtype=int)
+    unequal = np.flatnonzero(sizes != counts)
+    if unequal.size:
+        limit = int(unequal[0])
+        fault = ("", f"{sizes[limit]} members but {counts[limit]} points")
+
+    sizes = sizes[:limit]
+    starts = np.cumsum(sizes) - sizes
+    members = np.array(labels[: sizes.sum()], dtype=np.int64)
+    groups = []
+    for k in dict.fromkeys(sizes.tolist()):  # in order of first appearance
+        positions = np.flatnonzero(sizes == k)
+        rows = starts[positions][:, None] + np.arange(k)
+        ordered = np.sort(members[rows], axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        repeated = positions[repeats | (k == 0)]
+        if repeated.size and repeated[0] < limit:
+            limit = int(repeated[0])
+            fault = (".hyperedge", "hyperedge must list at least one vertex, each once")
+        groups.append((positions, rows))
+    if fault is not None:
+        below, message = fault
+        raise FormatError(message, path=f"$.scans[{limit}]{below}")
+    return [
+        SizeClass(positions, members[rows], coordinates[rows])
+        for positions, rows in groups
+    ]
 
 
 def scan_set_from_document(doc: dict) -> ScanSet:
     """Build a scan set; vertex_count is inferred from the largest label.
 
-    The scans are checked and stored one size class at a time. When a check
-    fails, the scans are checked again one by one, in document order, to
-    name the first faulty scan and its first fault.
+    The scans are checked and stored one size class at a time.
     """
     if doc["type"] != "scanset":
         raise FormatError(
@@ -287,10 +338,6 @@ def scan_set_from_document(doc: dict) -> ScanSet:
     if trust not in ("affine", "euclidean"):
         raise FormatError(f"unknown trust class {trust!r}", path="$.trust")
     classes = _size_classes(doc["scans"], dim)
-    if classes is None:
-        for index, entry in enumerate(doc["scans"]):
-            _check_scan(entry, f"$.scans[{index}]", dim)
-        raise AssertionError("the size-class checks failed a valid scan set")
     top = max((int(members.max()) for _, members, _ in classes), default=-1)
     return ScanSet.from_classes(top + 1, classes, trust)
 

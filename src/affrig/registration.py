@@ -82,7 +82,8 @@ class ScanSet:
     """A collection of scans over a common vertex set.
 
     The scans are stored once per size k, as a ``SizeClass`` of read-only
-    arrays; ``scans`` gives them as ``Scan`` views, built on first use.
+    arrays; ``scans`` gives them as ``Scan`` objects, built on first use
+    (each copies its chart).
     ``ScanSet(vertex_count, scans, trust)`` groups ``Scan`` objects.
     """
 
@@ -167,10 +168,9 @@ def _covered(scan_set: ScanSet) -> np.ndarray:
     Costs O(scans), not O(v): a document's v is one more than its largest
     label, which may be far beyond the number of labels.
     """
-    labels = np.concatenate([members.ravel() for _, members, _ in scan_set.classes])
-    if labels.size < scan_set.vertex_count:
-        return np.unique(labels)
-    return np.flatnonzero(np.bincount(labels, minlength=scan_set.vertex_count))
+    return np.unique(
+        np.concatenate([members.ravel() for _, members, _ in scan_set.classes])
+    )
 
 
 @dataclass(frozen=True, eq=False)

