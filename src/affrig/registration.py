@@ -154,9 +154,11 @@ class ScanSet:
 
     def hypergraph(self) -> Hypergraph:
         """The hypergraph whose hyperedges are the scanned vertex sets."""
-        return Hypergraph.from_hyperedges(
-            self.vertex_count, [scan.members for scan in self.scans]
-        )
+        rows = [None] * len(self)
+        for positions, members, _ in self.classes:
+            for position, row in zip(positions.tolist(), members.tolist()):
+                rows[position] = row
+        return Hypergraph.from_hyperedges(self.vertex_count, rows)
 
     def covered_vertices(self) -> set[int]:
         return set(_covered(self).tolist())

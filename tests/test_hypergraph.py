@@ -51,6 +51,13 @@ def connected_after_removal(graph, removed):
     return len(seen) == len(alive)
 
 
+def circular_ladder(rungs):
+    """Two cycles of the given length joined by a rung at every position."""
+    ring = [(i, (i + 1) % rungs) for i in range(rungs)]
+    return Graph.from_edges(2 * rungs, ring + [(u + rungs, w + rungs) for u, w in ring]
+                            + [(i, i + rungs) for i in range(rungs)])
+
+
 def brute_force_k_connected(graph, k):
     n = graph.vertex_count
     if n <= k:
@@ -221,15 +228,38 @@ class TestConnectivity:
         assert time.perf_counter() - start < 1.0
 
     def test_long_paths_need_no_recursion(self):
-        # Augmenting paths around a long cycle are as long as the cycle; a
+        # A depth-first search goes as deep as a long cycle, and the path
+        # search down a long circular ladder as deep as the ladder; a
         # recursive search would exceed a recursion limit set just above the
         # current stack depth.
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:
             assert is_k_vertex_connected(cycle_graph(300), 2)
+            assert is_k_vertex_connected(circular_ladder(5000), 3)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_torus_three_connected_in_linear_time(self):
+        torus = hexagonal_torus(40, 40)
+        start = time.perf_counter()
+        assert is_k_vertex_connected(torus, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_tori_glued_on_two_vertices_in_linear_time(self):
+        torus = hexagonal_torus(20, 20)
+        n = torus.vertex_count
+
+        def copy(x):  # the second torus shares vertices 0 and 1
+            return x if x < 2 else x + n - 2
+
+        glued = Graph.from_edges(
+            2 * n - 2, [*torus.edges, *((copy(u), copy(w)) for u, w in torus.edges)]
+        )
+        start = time.perf_counter()
+        assert is_k_vertex_connected(glued, 2)
+        assert not is_k_vertex_connected(glued, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_complete_graph(self):
         k5 = Graph.from_edges(5, itertools.combinations(range(5), 2))

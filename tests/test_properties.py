@@ -24,6 +24,7 @@ from affrig.families import (  # noqa: E402
 from affrig.hypergraph import (  # noqa: E402
     Graph,
     Hypergraph,
+    _k_connected_by_flows,
     as_hypergraph,
     is_k_vertex_connected,
     neighborhood_hypergraph,
@@ -802,6 +803,90 @@ def glued_graphs(draw):
     return Graph.from_edges(n, [(label[u], label[w]) for u, w in edges])
 
 
+def _three_connected_piece(draw, rng):
+    """A K4, a wheel or a prism, with random extra edges: (size, edges)."""
+    kind = draw(st.sampled_from(["complete", "wheel", "prism"]))
+    if kind == "complete":
+        size, edges = 4, list(itertools.combinations(range(4), 2))
+    elif kind == "wheel":
+        wheel = wheel_graph(draw(st.integers(3, 7)))
+        size, edges = wheel.vertex_count, list(wheel.edges)
+    else:
+        rim = draw(st.integers(3, 6))
+        ring = [(i, (i + 1) % rim) for i in range(rim)]
+        size = 2 * rim
+        edges = ring + [(u + rim, w + rim) for u, w in ring] + [
+            (i, i + rim) for i in range(rim)]
+    # Extra edges keep a piece 3-connected; dense ones make random pieces.
+    density = draw(st.sampled_from([0.0, 0.0, 0.3, 0.7]))
+    edges += [e for e in itertools.combinations(range(size), 2)
+              if rng.random() < density]
+    return size, edges
+
+
+@st.composite
+def two_cut_graphs(draw):
+    """Two to four 3-connected pieces, each glued on two vertices of the
+    piece before it (a chain) or of the whole graph so far (a tree).
+
+    Every glued pair is a 2-cut. The edge between its two vertices is kept,
+    added or removed, and a few random edges may heal cuts. With a random
+    relabelling, a glued pair may be made to hold vertex 0, the root of the
+    search; unrelabelled, vertex 0 lies in the first piece.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n, edges = _three_connected_piece(draw, rng)
+    previous = range(n)
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        size, piece = _three_connected_piece(draw, rng)
+        a, b = rng.sample(previous, 2)
+        pairs.append((a, b))
+        x, y = rng.sample(range(size), 2)
+        rest = iter(range(n, n + size - 2))
+        label = [a if i == x else b if i == y else next(rest) for i in range(size)]
+        edges += [(label[u], label[w]) for u, w in piece]
+        previous = label if draw(st.booleans()) else range(n + size - 2)
+        n += size - 2
+        between = draw(st.sampled_from(["keep", "add", "remove"]))
+        if between == "add":
+            edges.append((a, b))
+        elif between == "remove":
+            edges = [e for e in edges if set(e) != {a, b}]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(draw(st.integers(0, 2)))]
+    label = list(range(n))
+    if draw(st.booleans()):
+        rng.shuffle(label)
+        if draw(st.booleans()):
+            u = rng.choice(rng.choice(pairs))
+            root = label.index(0)
+            label[root], label[u] = label[u], 0
+    return Graph.from_edges(n, [(label[u], label[w]) for u, w in edges])
+
+
+@st.composite
+def three_connected_graphs(draw):
+    """Prisms, wheels, K_{3,m}, small hexagonal tori and trilateration
+    graphs, often randomly relabelled."""
+    kind = draw(st.sampled_from(["piece", "k3m", "torus", "trilateration"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "piece":
+        n, edges = _three_connected_piece(draw, rng)
+        graph = Graph.from_edges(n, edges)
+    elif kind == "k3m":
+        m = draw(st.integers(3, 6))
+        graph = Graph.from_edges(
+            3 + m, [(i, 3 + j) for i in range(3) for j in range(m)])
+    elif kind == "torus":
+        graph = hexagonal_torus(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    else:
+        graph = trilateration_graph(draw(st.integers(4, 40)), 2,
+                                    seed=draw(st.integers(0, 2**16)))
+    n = graph.vertex_count
+    label = rng.sample(range(n), n) if draw(st.booleans()) else range(n)
+    return Graph.from_edges(n, [(label[u], label[w]) for u, w in graph.edges])
+
+
 class TestConnectivityAgainstNetworkx:
     @settings(PROPERTY_SETTINGS, max_examples=100)
     @given(glued_graphs())
@@ -820,3 +905,17 @@ class TestConnectivityAgainstNetworkx:
             assert is_k_vertex_connected(graph, k) == (
                 graph.vertex_count > k and kappa >= k
             ), k
+
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(st.one_of(two_cut_graphs(), three_connected_graphs()))
+    def test_three_connectivity_matches_flows_and_networkx(self, graph):
+        nx = pytest.importorskip("networkx")
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(graph.vertex_count))
+        oracle.add_edges_from(graph.edges)
+        kappa = nx.node_connectivity(oracle)
+        n = graph.vertex_count
+        for k in range(1, 5):
+            expected = n > k and kappa >= k
+            assert expected == (n > k and _k_connected_by_flows(graph, k)), k
+            assert is_k_vertex_connected(graph, k) == expected, k

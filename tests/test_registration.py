@@ -19,7 +19,7 @@ from affrig.families import (
     pentagon_hypergraph,
     trilateration_graph,
 )
-from affrig.hypergraph import Graph, neighborhood_hypergraph
+from affrig.hypergraph import Graph, Hypergraph, neighborhood_hypergraph
 from affrig.numkernel import least_squares, numerical_kernel, psd_cholesky
 from affrig.registration import (
     AFFINE,
@@ -101,6 +101,17 @@ class TestScanTypes:
         assert scans.hypergraph().vertex_count == 7
         with pytest.raises(AttributeError):
             scans.vertex_count = 3
+
+    def test_hypergraph_in_scan_order_without_building_scans(self):
+        # Sizes 3, 2, 4, 2, 3 interleave the size classes.
+        scans = [Scan(members, np.arange(2.0 * len(members)).reshape(-1, 2))
+                 for members in [(0, 1, 2), (2, 3), (3, 4, 5, 0), (4, 5), (1, 2, 3)]]
+        scan_set = ScanSet(6, scans, "affine")
+        theta = scan_set.hypergraph()
+        assert "scans" not in scan_set.__dict__
+        assert theta == Hypergraph.from_hyperedges(6, [s.members for s in scans])
+        assert theta == Hypergraph.from_hyperedges(
+            6, [s.members for s in scan_set.scans])
 
     def test_registration_config_is_frozen(self):
         reg = Registration(np.zeros((3, 2)), "affine", {})
