@@ -48,7 +48,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for every n below 3.3e24.
 
     Cached, since every ``PrimeFieldMatrix`` checks its modulus and the
-    rigidity tests build one per hyperedge with the same few moduli.
+    rigidity tests build several with the same few moduli.
     """
     if n < 2:
         return False
@@ -581,8 +581,9 @@ class PrimeFieldMatrix:
 def _reduced_echelon(m: PrimeFieldMatrix) -> tuple[list[list[int]], list[int]]:
     """Row-reduce mod q; returns the workspace and the pivot columns.
 
-    Dense Gauss-Jordan, used only by ``prime_field_nullspace`` on small
-    matrices (the (d+1)×k lift of one hyperedge).
+    Dense Gauss-Jordan with row pivoting. ``prime_field_nullspace`` uses it
+    on one matrix, and on each matrix of a stack whose pivot on the leading
+    columns comes out zero.
     """
     q = m.modulus
     work = [list(row) for row in m.entries]
@@ -654,8 +655,31 @@ def prime_field_rank(m: PrimeFieldMatrix) -> int:
     )
 
 
-def prime_field_nullspace(m: PrimeFieldMatrix) -> list[tuple[int, ...]]:
-    """Basis of the kernel over F_q, one vector per free column."""
+def prime_field_nullspace(
+    m: PrimeFieldMatrix | tuple[np.ndarray, int],
+) -> list[tuple[int, ...]] | list[list[tuple[int, ...]]]:
+    """Basis of the kernel over F_q, one vector per free column.
+
+    ``m`` is one ``PrimeFieldMatrix``, or a stack of same-shape matrices
+    given as a pair ``(residues, q)``: an integer array of shape
+    (n, rows, cols) holding reduced residues modulo the prime q (not
+    checked here). One matrix gets the list of its basis vectors, each
+    with a 1 at its free column and zeros at the other free columns; a
+    stack gets one such list per matrix, equal to the call on that matrix.
+
+    A single matrix is reduced by the pivoting ``_reduced_echelon``. A
+    stack is reduced in one pass over all its matrices at once
+    (``_stacked_nullspace``), with Python integers in object arrays,
+    taking the first min(rows, cols) columns as pivots: for each pivot
+    column, one modular inverse serves the whole stack
+    (``_batch_inverse``). A matrix whose pivot comes out zero there has
+    lower rank or another pivot column, and it is reduced again by
+    ``_reduced_echelon``. Every other matrix has full rank on those
+    columns, so its reduced row echelon form, which is unique, is the one
+    ``_reduced_echelon`` computes, and so is its basis.
+    """
+    if not isinstance(m, PrimeFieldMatrix):
+        return _stacked_nullspace(*m)
     q = m.modulus
     work, pivots = _reduced_echelon(m)
     pivot_set = set(pivots)
@@ -669,6 +693,57 @@ def prime_field_nullspace(m: PrimeFieldMatrix) -> list[tuple[int, ...]]:
             vec[pc] = -work[r][free] % q
         basis.append(tuple(vec))
     return basis
+
+
+def _stacked_nullspace(residues: np.ndarray, q: int) -> list[list[tuple[int, ...]]]:
+    """``prime_field_nullspace`` of each matrix of a stack, in one pass."""
+    work = np.array(residues, dtype=object)
+    count, rows, cols = work.shape
+    if not count:
+        return []
+    lead = min(rows, cols)
+    degenerate = np.zeros(count, dtype=bool)
+    for col in range(lead):
+        pivot = work[:, col, col]
+        zero = pivot == 0
+        degenerate |= zero
+        inverse = _batch_inverse(np.where(zero, 1, pivot).tolist(), q)
+        work[:, col, col:] = work[:, col, col:] * inverse[:, None] % q
+        others = [r for r in range(lead) if r != col]
+        factors = work[:, others, col:col + 1]
+        work[:, others, col:] = (
+            work[:, others, col:] - factors * work[:, None, col, col:]
+        ) % q
+    # Free column f of a full-rank matrix: 1 at f, minus column f of the
+    # reduced form at the pivots.
+    bases = np.zeros((count, cols - lead, cols), dtype=object)
+    bases[:, :, :lead] = np.swapaxes(-work[:, :lead, lead:] % q, 1, 2)
+    free = np.arange(cols - lead)
+    bases[:, free, lead + free] = 1
+    result = [[tuple(vec) for vec in basis] for basis in bases.tolist()]
+    for i in np.flatnonzero(degenerate).tolist():
+        entries = tuple(map(tuple, np.asarray(residues[i]).tolist()))
+        result[i] = prime_field_nullspace(PrimeFieldMatrix(entries, q))
+    return result
+
+
+def _batch_inverse(values: list[int], q: int) -> np.ndarray:
+    """Inverses mod q of nonzero residues, from one modular inverse.
+
+    Montgomery's trick: the inverse of the product of all values, taken
+    back through the prefix products, gives each value's inverse at the
+    cost of three multiplications per value.
+    """
+    prefix = [values[0]]
+    for x in values[1:]:
+        prefix.append(prefix[-1] * x % q)
+    inverse = pow(prefix[-1], -1, q)
+    result = np.empty(len(values), dtype=object)
+    for i in range(len(values) - 1, 0, -1):
+        result[i] = inverse * prefix[i - 1] % q
+        inverse = inverse * values[i] % q
+    result[0] = inverse
+    return result
 
 
 def prime_field_corank(m: PrimeFieldMatrix) -> int:

@@ -126,6 +126,17 @@ class ScanSet:
             outside = members[(members < 0) | (members >= vertex_count)]
             if outside.size:
                 raise InvalidInputError(f"scan vertex {outside[0]} out of range")
+            ordered = np.sort(members, axis=1)
+            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            if repeats.any():
+                raise InvalidInputError(
+                    f"scan {size_class.positions[repeats.argmax()]}: "
+                    "members must be distinct")
+            faulty = ~np.isfinite(size_class.charts).all(axis=(1, 2))
+            if faulty.any():
+                raise InvalidInputError(
+                    f"scan {size_class.positions[faulty.argmax()]}: "
+                    "chart contains non-finite entries")
             for array in size_class:
                 array.flags.writeable = False
         object.__setattr__(self, "vertex_count", vertex_count)

@@ -351,8 +351,11 @@ def field_affinity_corank(
     a hyperedge raises ``DegenerateInstanceError`` instead, since the corank
     of such a sample says nothing about the generic corank.
 
-    Each hyperedge's relations, the F_q nullspace of its (d+1)×k lift, are
-    written straight into sparse rows and their rank is found by forward
+    Each hyperedge's relations are the F_q nullspace of its (d+1)×k lift.
+    The lifts of all hyperedges of one size go to one stacked
+    ``numkernel.prime_field_nullspace`` call, and each hyperedge's result
+    equals that of its own call. The relations are written straight into
+    sparse rows, in hyperedge order, and their rank is found by forward
     elimination (``numkernel._sparse_rank``); no dense v-column matrix is
     built. Column j holds the vertex at position j of a reverse
     Cuthill-McKee order of the body graph. Renumbering the columns permutes
@@ -369,21 +372,24 @@ def field_affinity_corank(
     order = numkernel._bandwidth_order(body_graph(theta).adjacency)
     for position, u in enumerate(order):
         column[u] = position
+    points = np.array([[int(x) % q for x in point] for point in coords], dtype=object)
+    hyperedges = [sorted(h) for h in theta.hyperedges]
+    relations: list = [None] * len(hyperedges)
+    for size, positions in _positions_by_key(map(len, hyperedges)).items():
+        members = np.array([hyperedges[i] for i in positions])
+        lifts = np.empty((len(positions), d + 1, size), dtype=object)
+        lifts[:, 0] = 1
+        lifts[:, 1:] = np.swapaxes(points[members], 1, 2)
+        for i, basis in zip(positions, numkernel.prime_field_nullspace((lifts, q))):
+            relations[i] = basis
     rows: list[dict[int, int]] = []
-    for h in theta.hyperedges:
-        members = sorted(h)
-        lift = [[1] * len(members)] + [
-            [coords[u][axis] for u in members] for axis in range(d)
-        ]
-        relations = numkernel.prime_field_nullspace(
-            numkernel.PrimeFieldMatrix.from_integers(lift, q)
-        )
-        if require_general_position and len(relations) > max(0, len(members) - d - 1):
+    for members, basis in zip(hyperedges, relations):
+        if require_general_position and len(basis) > max(0, len(members) - d - 1):
             raise DegenerateInstanceError(
                 f"hyperedge {members} is not in general position: "
-                f"{len(relations)} affine relations among {len(members)} points"
+                f"{len(basis)} affine relations among {len(members)} points"
             )
-        for vec in relations:
+        for vec in basis:
             rows.append({column[u]: x for x, u in zip(vec, members) if x})
     return v - numkernel._sparse_rank(rows, q)
 
@@ -792,12 +798,17 @@ def nonsymmetric_stress(
 
     Row u is a uniformly random unit element of the kernel of the d×deg(u)
     matrix of edge vectors out of u, with the diagonal set to minus the row
-    sum; vertices whose edge vectors are linearly independent get a zero row.
+    sum; vertices whose edge vectors are linearly independent, and isolated
+    vertices, get a zero row.
 
     The edge-vector matrices of all vertices of one degree are factored by
     one stacked SVD, whose slices equal ``numerical_kernel`` on each matrix
-    bit for bit; the random combinations are then drawn in vertex order and
-    stored dense or sparse by the vertex count (``_assemble``).
+    bit for bit. The random combinations are one ``standard_normal`` draw
+    of the total kernel dimension, consumed in vertex order, so they equal
+    per-vertex draws in that order. The rows of all vertices of one degree
+    and kernel dimension are formed by one stacked product, normalized and
+    stored, in vertex order, dense or sparse by the vertex count
+    (``_assemble``).
     """
     gamma = framework.structure
     if not isinstance(gamma, Graph):
@@ -805,36 +816,51 @@ def nonsymmetric_stress(
     rng = np.random.default_rng(seed)
     v = framework.vertex_count
     coords = framework.coordinates
-    neighbors = [list(gamma.neighbors(u)) for u in range(v)]
-    by_degree: dict[int, list[int]] = {}
-    for u, nbrs in enumerate(neighbors):
-        if nbrs:
-            by_degree.setdefault(len(nbrs), []).append(u)
-    # Orthonormal kernel basis (deg(u), dimension) of each vertex with one.
-    bases: list[np.ndarray | None] = [None] * v
-    for k, vertices in by_degree.items():
-        ends = coords[np.array([neighbors[u] for u in vertices])]
-        edge_vectors = np.swapaxes(ends - coords[vertices, None], -1, -2)
+    adjacency = gamma.adjacency
+    degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=v)
+    start = np.cumsum(degree) - degree
+    flat = np.fromiter((w for nbrs in adjacency for w in nbrs), dtype=np.intp,
+                       count=int(degree.sum()))
+    # Per group of vertices: their neighbors (g, k) and an orthonormal basis
+    # of each one's edge-vector kernel as columns (g, k, dimension). The
+    # bases are C-contiguous and the products below are matrix-vector, so
+    # each slice runs the BLAS product that one vertex's ``basis @ z``
+    # would, and the rows equal a per-vertex loop's bit for bit.
+    groups = []
+    dimension = np.zeros(v, dtype=np.intp)
+    for k in np.unique(degree[degree > 0]).tolist():
+        vertices = np.flatnonzero(degree == k)
+        neighbors = flat[start[vertices, None] + np.arange(k)]
+        edge_vectors = np.swapaxes(coords[neighbors] - coords[vertices, None], -1, -2)
         _, vt, ranks = numkernel._stacked_kernels(edge_vectors, rel_tol)
-        for u, right, rank in zip(vertices, vt, ranks.tolist()):
-            if rank == 0:
-                # All edge vectors vanish, so every combination balances.
-                bases[u] = np.eye(k)
-            elif rank < k:
-                bases[u] = np.ascontiguousarray(right[rank:].T)
-    entries = []
-    zero_rows: list[int] = []
-    for u, basis in enumerate(bases):
-        if basis is None:
-            zero_rows.append(u)
-            continue
-        row = basis @ rng.standard_normal(basis.shape[1])
-        row /= np.linalg.norm(row)
-        entries.append((np.full(len(row) + 1, u), np.array(neighbors[u] + [u]),
-                        np.append(row, -row.sum())))
+        for rank in np.unique(ranks[ranks < k]).tolist():
+            chosen = ranks == rank
+            # Rank 0: all edge vectors vanish, so every combination balances.
+            basis = (np.eye(k)[None] if rank == 0 else
+                     np.ascontiguousarray(np.swapaxes(vt[chosen, rank:], 1, 2)))
+            dimension[vertices[chosen]] = k - rank
+            groups.append((vertices[chosen], neighbors[chosen], basis))
+    draws = rng.standard_normal(int(dimension.sum()))
+    offset = np.cumsum(dimension) - dimension
+    # Row u fills deg(u) + 1 consecutive entries, the rows in vertex order.
+    width = np.where(dimension > 0, degree + 1, 0)
+    first = np.cumsum(width) - width
+    rows = np.empty(int(width.sum()), dtype=np.intp)
+    cols = np.empty_like(rows)
+    values = np.empty(len(rows))
+    for vertices, neighbors, basis in groups:
+        coefficients = draws[offset[vertices, None] + np.arange(basis.shape[2])]
+        stress_rows = basis @ coefficients[:, :, None]
+        stress_rows /= np.sqrt(np.swapaxes(stress_rows, 1, 2) @ stress_rows)
+        stress_rows = stress_rows[:, :, 0]
+        slots = first[vertices, None] + np.arange(neighbors.shape[1] + 1)
+        rows[slots] = vertices[:, None]
+        cols[slots] = np.hstack([neighbors, vertices[:, None]])
+        values[slots] = np.hstack([stress_rows, -stress_rows.sum(axis=1, keepdims=True)])
+    zero_rows = np.flatnonzero(dimension == 0).tolist()
     if zero_rows:
         logger.debug("zero stress rows at vertices %s", zero_rows)
-    omega = _assemble(entries, (v, v))
+    omega = _assemble([(rows, cols, values)], (v, v))
     return StressMatrix(omega, symmetric=False, zero_rows=tuple(zero_rows))
 
 

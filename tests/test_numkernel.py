@@ -280,6 +280,21 @@ class TestPrimeField:
         basis = prime_field_nullspace(PrimeFieldMatrix.from_integers(lift))
         assert len(basis) == 1
 
+    @pytest.mark.parametrize("shape", [(3, 7), (3, 3), (4, 2), (1, 5)])
+    def test_stacked_nullspace_equals_each_call(self, shape):
+        # Small entries make zero leading pivots, low rank and zero rows
+        # common; each needs the pivoting fallback.
+        rng = np.random.default_rng(43)
+        q = PRIME_POOL_60BIT[1]
+        stack = rng.integers(-2, 3, size=(60,) + shape) % q
+        stack[:20] = rng.integers(0, q, size=(20,) + shape)
+        bases = prime_field_nullspace((stack, q))
+        assert bases == [
+            prime_field_nullspace(PrimeFieldMatrix(tuple(map(tuple, m.tolist())), q))
+            for m in stack
+        ]
+        assert prime_field_nullspace((stack[:0], q)) == []
+
     def test_negative_entries_reduced(self):
         m = PrimeFieldMatrix.from_integers([[-1, 1]])
         assert m.entries[0][0] == DEFAULT_PRIME - 1

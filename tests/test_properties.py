@@ -31,7 +31,7 @@ from affrig.hypergraph import (  # noqa: E402
     zha_zhang_condition,
 )
 from test_numkernel import fraction_rank  # noqa: E402
-from test_rigidity import in_hull_lp  # noqa: E402
+from test_rigidity import in_hull_lp, looped_stress  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
     database=None, derandomize=True, deadline=None, max_examples=40
@@ -196,6 +196,164 @@ class TestSparseFieldRank:
             assert corank == theta.vertex_count - len(pivots)
         else:
             assert corank == theta.vertex_count
+
+
+def echelon_nullspace(entries, q):
+    """The kernel basis over F_q read off ``_reduced_echelon``, one lift at a time."""
+    m = numkernel.PrimeFieldMatrix(tuple(map(tuple, entries)), q)
+    work, pivots = numkernel._reduced_echelon(m)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        vec = [0] * m.cols
+        vec[free] = 1
+        for row, pivot in zip(work, pivots):
+            vec[pivot] = -row[free] % q
+        basis.append(tuple(vec))
+    return basis
+
+
+@st.composite
+def lift_stacks(draw):
+    """Same-shape lifts [1; points] of k points in dimension d = 1..3.
+
+    Points come from a grid of five values, which often repeats a
+    coordinate (a zero leading pivot of a lift of full rank), or are large
+    random residues; a lift may repeat one point or make all points equal.
+    k runs from 1, so k <= d+1 occurs.
+    """
+    q = draw(st.sampled_from([numkernel.DEFAULT_PRIME, numkernel.PRIME_POOL_60BIT[3]]))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, d + 4))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = draw(st.sampled_from([st.integers(-2, 2), st.integers(0, q - 1)]))
+        points = [draw(st.lists(values, min_size=d, max_size=d)) for _ in range(k)]
+        shape = draw(st.sampled_from(["free", "free", "repeat", "equal"]))
+        if shape == "repeat" and k > 1:
+            points[draw(st.integers(1, k - 1))] = points[0]
+        elif shape == "equal":
+            points = [points[0]] * k
+        stack.append([[1] * k] + [[p[a] % q for p in points] for a in range(d)])
+    return stack, q
+
+
+def per_hyperedge_corank(theta, d, coords, q, require_general_position=False):
+    """``field_affinity_corank`` one hyperedge at a time, by dense Gauss-Jordan."""
+    rows = []
+    for h in map(sorted, theta.hyperedges):
+        lift = [[1] * len(h)] + [[coords[u][a] % q for u in h] for a in range(d)]
+        basis = echelon_nullspace(lift, q)
+        if require_general_position and len(basis) > max(0, len(h) - d - 1):
+            raise rigidity.DegenerateInstanceError(
+                f"hyperedge {h} is not in general position: "
+                f"{len(basis)} affine relations among {len(h)} points"
+            )
+        for vec in basis:
+            row = [0] * theta.vertex_count
+            for x, u in zip(vec, h):
+                row[u] = x
+            rows.append(row)
+    if not rows:
+        return theta.vertex_count
+    _, pivots = numkernel._reduced_echelon(numkernel.PrimeFieldMatrix(
+        tuple(map(tuple, rows)), q))
+    return theta.vertex_count - len(pivots)
+
+
+class TestStackedFieldNullspace:
+    @PROPERTY_SETTINGS
+    @given(lift_stacks())
+    def test_stack_matches_each_lift(self, case):
+        stack, q = case
+        bases = numkernel.prime_field_nullspace((np.array(stack, dtype=object), q))
+        assert bases == [echelon_nullspace(lift, q) for lift in stack]
+
+    def test_zero_leading_pivot_of_full_rank(self):
+        # In the first lift points 0 and 1 share x, so row 1 is zero in
+        # column 1 after the first step. The stacked pass swaps no rows and
+        # recomputes that lift, which still has full rank 3; the second lift
+        # stays on the stacked path.
+        q = numkernel.DEFAULT_PRIME
+        stack = [[[1, 1, 1, 1], [5, 5, 7, 2], [1, 4, 2, 9]],
+                 [[1, 1, 1, 1], [0, 3, 1, 8], [2, 2, 5, 1]]]
+        bases = numkernel.prime_field_nullspace((np.array(stack, dtype=object), q))
+        assert bases == [echelon_nullspace(lift, q) for lift in stack]
+        assert [len(basis) for basis in bases] == [1, 1]
+
+    @PROPERTY_SETTINGS
+    @given(integer_frameworks(), st.sampled_from([1, 3]), st.booleans())
+    def test_field_corank_matches_per_hyperedge(self, case, squeeze, require):
+        # Squeezing the points onto {-1, 0, 1} makes degenerate hyperedges common.
+        theta, d, coords, _ = case
+        coords = [[x // squeeze for x in point] for point in coords]
+        q = numkernel.DEFAULT_PRIME
+
+        def outcome(fn):
+            try:
+                return fn(theta, d, coords, q, require_general_position=require)
+            except rigidity.DegenerateInstanceError as error:
+                return str(error)
+
+        assert outcome(rigidity.field_affinity_corank) == outcome(per_hyperedge_corank)
+
+
+@st.composite
+def stress_frameworks(draw):
+    """Graphs with isolated vertices and collinear or coincident neighbors.
+
+    Integer points on a small grid in dimension 1..3, on one line, or all
+    at one point (edge vectors of rank 0); edges drawn at random, with the
+    last vertices often left isolated.
+    """
+    d = draw(st.integers(1, 3))
+    v = draw(st.integers(2, 14))
+    grid = st.integers(-2, 2)
+    layout = draw(st.sampled_from(["line", "point", "grid"]))
+    if layout != "grid":
+        base = np.array(draw(st.lists(grid, min_size=d, max_size=d)), float)
+        step = np.array(draw(st.lists(grid, min_size=d, max_size=d)), float)
+        step *= layout == "line"
+        coords = base + np.array(draw(st.lists(grid, min_size=v, max_size=v)),
+                                 float)[:, None] * step
+    else:
+        coords = np.array(draw(st.lists(grid, min_size=v * d, max_size=v * d)),
+                          float).reshape(v, d)
+    isolated = draw(st.integers(0, 2))
+    pairs = list(itertools.combinations(range(v - isolated), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = Graph.from_edges(v, [e for e, keep in zip(pairs, chosen) if keep])
+    return rigidity.Framework(graph, coords.reshape(v, d))
+
+
+class TestStressAgainstPerVertex:
+    @PROPERTY_SETTINGS
+    @given(stress_frameworks(), st.integers(0, 2**32 - 1))
+    def test_matches_per_vertex_draws(self, framework, seed):
+        stress = rigidity.nonsymmetric_stress(framework, seed)
+        omega, zero_rows = looped_stress(framework, seed)
+        assert stress.zero_rows == zero_rows
+        np.testing.assert_array_max_ulp(stress.matrix, omega, maxulp=1)
+
+    @PROPERTY_SETTINGS
+    @given(stress_frameworks(), st.integers(0, 2**32 - 1))
+    def test_generator_advances_as_per_vertex_draws(self, framework, seed):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        rigidity.nonsymmetric_stress(framework, mine)
+        looped_stress(framework, theirs)
+        assert mine.random() == theirs.random()
+
+    @pytest.mark.parametrize("graph", [hexagonal_torus(24, 24),
+                                       trilateration_graph(300, 2, seed=3)],
+                             ids=["H(24,24)", "trilateration-300"])
+    def test_matches_per_vertex_draws_at_size(self, graph):
+        framework = generic_framework(graph, 2, seed=4)
+        stress = rigidity.nonsymmetric_stress(framework, 5)
+        omega, zero_rows = looped_stress(framework, 5)
+        assert stress.zero_rows == zero_rows
+        matrix = stress.matrix
+        if isinstance(matrix, numkernel.SparseMatrix):
+            matrix = matrix.toarray()
+        np.testing.assert_array_max_ulp(matrix, omega, maxulp=1)
 
 
 def pairwise_overlap_chain(theta, d):

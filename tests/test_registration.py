@@ -27,6 +27,7 @@ from affrig.registration import (
     Registration,
     Scan,
     ScanSet,
+    SizeClass,
     _configuration_from_kernel,
     _diameter,
     _scan_residuals,
@@ -92,6 +93,21 @@ class TestScanTypes:
         mixed = (scan, Scan((0, 1), np.zeros((2, 3))))
         with pytest.raises(InvalidInputError):
             ScanSet(2, mixed, "affine")
+
+    def test_size_classes_reject_a_repeated_member(self):
+        good = SizeClass(np.array([0]), np.array([[0, 1, 2]]), np.zeros((1, 3, 2)))
+        repeated = SizeClass(np.array([1]), np.array([[0, 0, 1]]), np.zeros((1, 3, 2)))
+        with pytest.raises(InvalidInputError, match="scan 1: .*distinct"):
+            ScanSet.from_classes(3, [good, repeated], "affine")
+
+    def test_size_classes_reject_a_non_finite_chart(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            charts = np.zeros((2, 3, 2))
+            charts[1, 2, 0] = bad
+            size_class = SizeClass(np.array([0, 1]), np.array([[0, 1, 2], [1, 2, 3]]),
+                                   charts)
+            with pytest.raises(InvalidInputError, match="scan 1: .*non-finite"):
+                ScanSet.from_classes(4, [size_class], "affine")
 
     def test_scan_set_accessors(self):
         framework = rigid_scan_source(seed=5)
