@@ -313,6 +313,12 @@ _SPARSE_MAX_STEPS = 60
 #: Lanczos steps for σ_max on the sparse route.
 _LANCZOS_STEPS = 30
 
+#: Pivot blocks per band width in ``_band_solver``. Narrower pivots trade
+#: flops for more, smaller numpy calls; of 1, 2, 3, 4, 6 and 8, six was
+#: fastest or within noise of it on tori and trilateration graphs with
+#: v = 1000-3200, and four to eight were level at v = 512.
+_BAND_BLOCKS = 6
+
 
 def _largest_singular_value(a: SparseMatrix, start: np.ndarray) -> float:
     """σ_max from Lanczos on AᵀA with full reorthogonalization.
@@ -346,62 +352,76 @@ def _band_solver(gram: SparseMatrix, shift: float):
     """A solver for (gram + shift·I) y = b, b of shape (n, k).
 
     The matrix is renumbered in reverse Cuthill-McKee order, which confines
-    its nonzeros to a band of some width w; cut into w×w blocks it is block
-    tridiagonal. Block LDLᵀ elimination then needs only dense w×w products
-    and symmetric eigendecompositions, O(n w²) work and about 2nw stored
-    numbers. No pivoting is needed: the matrix is symmetric positive
-    definite.
+    its nonzeros to a band of some width w. Cut into pivot blocks of width
+    p = ⌈w/``_BAND_BLOCKS``⌉, it is block banded: block column i couples
+    only to the K ≤ ``_BAND_BLOCKS`` blocks below it. Block LDLᵀ
+    elimination keeps that band and needs only dense p×p products and
+    symmetric eigendecompositions. Each pivot column costs one p×p
+    ``eigh``, the K coupling blocks L_{i+k,i} = M_{i+k,i} D_i⁻¹ and the
+    K(K+1)/2 Schur updates M_{i+k,i+l} −= L_{i+k,i} M_{i+l,i}ᵀ, l ≤ k, of
+    the lower band: about 2nw² flops in all, where w×w pivots (K = 1, a
+    block tridiagonal matrix) would take about 15nw², most of it in
+    ``eigh``. Each L block is stored over its M block, so the factor is
+    the (K+1)·n·p ≈ 7nw/6 numbers of the lower band. No pivoting is
+    needed: the matrix is symmetric positive definite.
     """
     n = gram.shape[0]
     off = gram.rows != gram.cols
     order_of_rows = np.argsort(gram.rows[off], kind="stable")
-    bounds = np.cumsum(np.bincount(gram.rows[off], minlength=n))[:-1]
-    adjacency = [part.tolist() for part in np.split(gram.cols[off][order_of_rows],
-                                                    bounds)]
+    neighbors = gram.cols[off][order_of_rows].tolist()
+    ends = np.cumsum(np.bincount(gram.rows[off], minlength=n)).tolist()
+    adjacency = [neighbors[start:end] for start, end in zip([0, *ends], ends)]
     order = np.array(_bandwidth_order(adjacency), dtype=np.intp)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     rows, cols = position[gram.rows], position[gram.cols]
     width = max(int(np.abs(rows - cols).max(initial=0)), 1)
-    blocks = -(-n // width)
-    diagonal = np.zeros((blocks, width, width))
-    # Padding beyond n is an identity block, decoupled from the rest.
-    tail = np.arange(n, blocks * width)
-    diagonal[tail // width, tail % width, tail % width] = 1.0
+    pivot = -(-width // _BAND_BLOCKS)
+    blocks = -(-n // pivot)
+    reach = min(-(-width // pivot), blocks - 1)
+    # band[i, 0] is the pivot block D_i, band[i, k] the block M_{i+k,i}.
+    band = np.zeros((blocks, reach + 1, pivot, pivot))
+    lower = rows // pivot >= cols // pivot
+    band[cols[lower] // pivot, rows[lower] // pivot - cols[lower] // pivot,
+         rows[lower] % pivot, cols[lower] % pivot] = gram.values[lower]
     head = np.arange(n)
-    diagonal[head // width, head % width, head % width] = shift
-    same = rows // width == cols // width
-    diagonal[rows[same] // width, rows[same] % width, cols[same] % width] += (
-        gram.values[same])
-    coupling = np.zeros((max(blocks - 1, 0), width, width))
-    below = rows // width == cols // width + 1
-    coupling[cols[below] // width, rows[below] % width, cols[below] % width] = (
-        gram.values[below])
-    # Block LDLᵀ: D_i = M_ii − L_{i,i−1} M_{i,i−1}ᵀ with L_{i+1,i} =
-    # M_{i+1,i} D_i⁻¹. Each pivot block is kept as its eigenvectors and
-    # eigenvalues, so that applying D_i⁻¹ errs only along its eigenvectors
-    # of small eigenvalue, the near-kernel ones, as a backward stable solve
-    # does; an explicit inverse would spread that error in every direction.
-    values = np.empty((blocks, width))
+    band[head // pivot, 0, head % pivot, head % pivot] += shift
+    # Padding beyond n is an identity block, decoupled from the rest.
+    tail = np.arange(n, blocks * pivot)
+    band[tail // pivot, 0, tail % pivot, tail % pivot] = 1.0
+    # Each pivot block is kept as its eigenvectors and eigenvalues, so that
+    # applying D_i⁻¹ errs only along its eigenvectors of small eigenvalue,
+    # the near-kernel ones, as a backward stable solve does; an explicit
+    # inverse would spread that error in every direction.
+    values = np.empty((blocks, pivot))
     for i in range(blocks):
-        if i:
-            diagonal[i] -= coupling[i - 1] @ below_block.T
-        values[i], diagonal[i] = np.linalg.eigh(diagonal[i])
-        if i + 1 < blocks:
-            below_block = coupling[i].copy()
-            coupling[i] = ((below_block @ diagonal[i]) / values[i]) @ diagonal[i].T
+        values[i], band[i, 0] = np.linalg.eigh(band[i, 0])
+        k = min(reach, blocks - 1 - i)
+        if k:
+            coupling = band[i, 1:k + 1].reshape(k * pivot, pivot)
+            factor = ((coupling @ band[i, 0]) / values[i]) @ band[i, 0].T
+            for l in range(k):
+                band[i + 1 + l, : k - l] -= (
+                    factor[l * pivot:] @ coupling[l * pivot:(l + 1) * pivot].T
+                ).reshape(k - l, pivot, pivot)
+            coupling[:] = factor
+    vectors = band[:, 0]
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = np.zeros((blocks * width, b.shape[1]))
+        x = np.zeros((blocks * pivot, b.shape[1]))
         x[:n] = b[order]
-        x = x.reshape(blocks, width, -1)
-        for i in range(1, blocks):
-            x[i] -= coupling[i - 1] @ x[i - 1]
-        x = diagonal @ ((np.swapaxes(diagonal, 1, 2) @ x) / values[:, :, None])
+        x = x.reshape(blocks, pivot, -1)
+        for i in range(blocks - 1):
+            k = min(reach, blocks - 1 - i)
+            x[i + 1:i + 1 + k] -= (band[i, 1:k + 1].reshape(k * pivot, pivot)
+                                   @ x[i]).reshape(k, pivot, -1)
+        x = vectors @ ((np.swapaxes(vectors, 1, 2) @ x) / values[:, :, None])
         for i in range(blocks - 2, -1, -1):
-            x[i] -= coupling[i].T @ x[i + 1]
+            k = min(reach, blocks - 1 - i)
+            x[i] -= (band[i, 1:k + 1].reshape(k * pivot, pivot).T
+                     @ x[i + 1:i + 1 + k].reshape(k * pivot, -1))
         y = np.empty_like(b)
-        y[order] = x.reshape(blocks * width, -1)[:n]
+        y[order] = x.reshape(blocks * pivot, -1)[:n]
         return y
 
     return solve
@@ -617,6 +637,12 @@ def _sparse_rank(rows: Iterable[dict[int, int]], q: int) -> int:
     pivot yet, where it is stored, scaled to a leading 1, as a new pivot row.
     Neither back-substitution nor a dense workspace is needed for a rank.
     The rows are consumed (modified in place).
+
+    Reduction mod q is delayed: a reduction step adds f·x into the row's
+    entries as plain integers and reduces only the leading entry, which it
+    needs nonzero or dropped. An entry ≡ 0 is dropped when it becomes the
+    lowest column, and a row's tail is reduced when it is stored, so the
+    pivot rows are the fully reduced ones.
     """
     # Pivot column -> minus the rest of its pivot row (the leading 1 is
     # implicit), so that reducing adds multiples of nonnegative residues.
@@ -625,19 +651,17 @@ def _sparse_rank(rows: Iterable[dict[int, int]], q: int) -> int:
         get = row.get
         while row:
             col = min(row)
+            f = row.pop(col) % q
+            if not f:
+                continue
             tail = pivots.get(col)
             if tail is None:
-                minus_inv = q - pow(row.pop(col), -1, q)
-                pivots[col] = [(c, x * minus_inv % q) for c, x in row.items()]
+                minus_inv = q - pow(f, -1, q)
+                pivots[col] = [(c, y) for c, x in row.items()
+                               if (y := x * minus_inv % q)]
                 break
-            f = row.pop(col)
             for c, x in tail:
-                y = (get(c, 0) + f * x) % q
-                if y:
-                    row[c] = y
-                else:
-                    # Absent entries cannot cancel: f * x is a nonzero product.
-                    del row[c]
+                row[c] = get(c, 0) + f * x
     return len(pivots)
 
 

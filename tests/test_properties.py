@@ -625,6 +625,60 @@ class TestRegistrationChartInvariance:
         assert error <= 1e-8 * registration._diameter(original.config)
 
 
+def gram_case(sizes, empty, density, seed):
+    """(AᵀA, shift, b) for a random sparse A, shift moderate against AᵀA.
+
+    A has one (k+2)×k diagonal block per size k, with entries kept at the
+    given density, so each block is a component of AᵀA (or several, if
+    sparse), and ``empty`` zero columns, which give AᵀA empty rows. The
+    columns are shuffled so that the components interleave.
+    """
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + empty
+    a = np.zeros((sum(sizes) + 2 * len(sizes), n))
+    row = col = 0
+    for k in sizes:
+        block = rng.standard_normal((k + 2, k))
+        a[row:row + k + 2, col:col + k] = np.where(
+            rng.random(block.shape) < density, block, 0.0)
+        row, col = row + k + 2, col + k
+    a = a[:, rng.permutation(n)]
+    r, c = np.nonzero(a)
+    sparse = numkernel.SparseMatrix(r, c, a[r, c], a.shape)
+    gram = sparse.T @ sparse
+    shift = 1e-3 * max(gram.values.max(initial=0.0), 1.0)
+    return gram, shift, rng.standard_normal((n, 3))
+
+
+@st.composite
+def sparse_grams(draw):
+    return gram_case(
+        draw(st.lists(st.integers(1, 30), min_size=1, max_size=2)),
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from([0.05, 0.2, 1.0])),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+class TestBandSolverAgainstDense:
+    # The examples cover n = 1; a dense component with fewer pivot blocks
+    # than the band has blocks (n = 8); band widths that are not multiples
+    # of numkernel._BAND_BLOCKS (n = 23, 30), the first with a padded last
+    # block; and two components with empty rows.
+    @PROPERTY_SETTINGS
+    @given(case=sparse_grams())
+    @example(case=gram_case([1], 0, 1.0, 0))
+    @example(case=gram_case([8], 0, 1.0, 1))
+    @example(case=gram_case([23], 0, 1.0, 2))
+    @example(case=gram_case([30], 0, 0.2, 3))
+    @example(case=gram_case([12, 9], 3, 0.3, 4))
+    def test_solve_matches_dense_solve(self, case):
+        gram, shift, b = case
+        expected = np.linalg.solve(gram.toarray() + shift * np.eye(len(b)), b)
+        solved = numkernel._band_solver(gram, shift)(b)
+        assert np.linalg.norm(solved - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def on_route(route, fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with every builder storing dense or sparse.
 

@@ -436,6 +436,25 @@ class TestGenericTest:
         verdict = generic_affine_rigidity_test(theta, 2, trials=2, seed=14)
         assert verdict.verdict == RIGID
 
+    def test_column_order_is_built_once_per_test(self, monkeypatch):
+        # The pentagon is flexible, so every one of the trials runs.
+        built, trials = [], []
+        body_graph, corank = rigidity.body_graph, rigidity.field_affinity_corank
+
+        def counted_body_graph(theta):
+            built.append(theta)
+            return body_graph(theta)
+
+        def counted_corank(*args, **kwargs):
+            trials.append(args)
+            return corank(*args, **kwargs)
+
+        monkeypatch.setattr(rigidity, "body_graph", counted_body_graph)
+        monkeypatch.setattr(rigidity, "field_affinity_corank", counted_corank)
+        verdict = generic_affine_rigidity_test(pentagon_hypergraph(), 2, trials=3, seed=13)
+        assert verdict.verdict == FLEXIBLE
+        assert len(trials) >= 3 and len(built) == 1
+
     def test_agrees_with_float_test_on_integer_coords(self):
         rng = np.random.default_rng(15)
         structures = [
