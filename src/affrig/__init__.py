@@ -34,7 +34,6 @@ from .hypergraph import (
 )
 from .registration import (
     Registration,
-    Scan,
     ScanSet,
     affine_register,
     best_fit_affine,
@@ -81,7 +80,6 @@ __all__ = [
     "NumericalRankError",
     "Registration",
     "RigidityVerdict",
-    "Scan",
     "ScanSet",
     "StressMatrix",
     "UniversalRigidityResult",

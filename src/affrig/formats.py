@@ -339,7 +339,7 @@ def scan_set_from_document(doc: dict) -> ScanSet:
         raise FormatError(f"unknown trust class {trust!r}", path="$.trust")
     classes = _size_classes(doc["scans"], dim)
     top = max((int(members.max()) for _, members, _ in classes), default=-1)
-    return ScanSet.from_classes(top + 1, classes, trust)
+    return ScanSet(top + 1, tuple(classes), trust)
 
 
 def document_from_structure(structure: Graph | Hypergraph) -> dict:

@@ -10,7 +10,6 @@ prime field uses plain Python integers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -27,18 +26,6 @@ DEFAULT_PSD_TOL = 1e-7
 
 #: Default modulus for exact rank computations (a Mersenne prime).
 DEFAULT_PRIME = 2**61 - 1
-
-#: Precomputed 60-bit primes for trials that want an independent modulus.
-PRIME_POOL_60BIT = (
-    576460752303423619,
-    576460752303423649,
-    576460752303423733,
-    576460752303423737,
-    576460752303423749,
-    576460752303423761,
-    576460752303423811,
-    576460752303423913,
-)
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -773,11 +760,6 @@ def _batch_inverse(values: list[int], q: int) -> np.ndarray:
 def prime_field_corank(m: PrimeFieldMatrix) -> int:
     """Kernel dimension over F_q."""
     return m.cols - prime_field_rank(m)
-
-
-def draw_modulus(rng: random.Random) -> int:
-    """Pick a modulus from the precomputed prime pool."""
-    return rng.choice(PRIME_POOL_60BIT)
 
 
 def least_squares(a, b) -> np.ndarray:

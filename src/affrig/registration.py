@@ -13,8 +13,7 @@ on the measured squared lengths upgrades the result to a Euclidean one.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -41,34 +40,6 @@ AFFINE = "affine"
 EUCLIDEAN = "euclidean"
 
 
-@dataclass(frozen=True, eq=False)
-class Scan:
-    """One hyperedge observed in a private chart.
-
-    ``coordinates[k]`` is the observed point of ``members[k]``.
-    """
-
-    members: tuple[int, ...]
-    coordinates: np.ndarray
-
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise InvalidInputError("a scan must cover at least one vertex")
-        if len(set(self.members)) != len(self.members):
-            raise InvalidInputError("scan members must be distinct")
-        coords = np.array(self.coordinates, dtype=float)
-        if coords.ndim != 2 or coords.shape[0] != len(self.members):
-            raise InvalidInputError(
-                f"scan of {len(self.members)} vertices has chart shape "
-                f"{coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise InvalidInputError("scan chart contains non-finite entries")
-        coords.flags.writeable = False
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "members", tuple(int(u) for u in self.members))
-
-
 class SizeClass(NamedTuple):
     """The scans of one size k: their positions in the scan set (n,), their
     members (n, k) and their charts (n, k, d)."""
@@ -78,73 +49,38 @@ class SizeClass(NamedTuple):
     charts: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
 class ScanSet:
     """A collection of scans over a common vertex set.
 
     The scans are stored once per size k, as a ``SizeClass`` of read-only
-    arrays; ``scans`` gives them as ``Scan`` objects, built on first use
-    (each copies its chart).
-    ``ScanSet(vertex_count, scans, trust)`` groups ``Scan`` objects.
+    arrays; together the classes' positions number the scans 0, ..., n-1.
     """
 
-    def __init__(self, vertex_count: int, scans: Iterable[Scan], trust: str):
-        scans = tuple(scans)
-        groups = _positions_by_key(
-            (len(scan.members), scan.coordinates.shape[1]) for scan in scans
-        )
-        self._adopt(vertex_count, [
-            SizeClass(
-                np.array(positions),
-                np.array([scans[i].members for i in positions]),
-                np.stack([scans[i].coordinates for i in positions]),
-            )
-            for positions in groups.values()
-        ], trust)
+    vertex_count: int
+    classes: tuple[SizeClass, ...]
+    trust: str
 
-    @classmethod
-    def from_classes(
-        cls, vertex_count: int, classes: Iterable[SizeClass], trust: str
-    ) -> ScanSet:
-        """A scan set of size classes whose positions number the scans."""
-        scan_set = cls.__new__(cls)
-        scan_set._adopt(vertex_count, classes, trust)
-        return scan_set
-
-    def _adopt(self, vertex_count: int, classes: Iterable[SizeClass], trust: str):
-        if vertex_count < 1:
+    def __post_init__(self):
+        if self.vertex_count < 1:
             raise InvalidInputError("vertex_count must be positive")
-        if trust not in (AFFINE, EUCLIDEAN):
-            raise InvalidInputError(f"unknown trust class {trust!r}")
-        classes = tuple(classes)
+        if self.trust not in (AFFINE, EUCLIDEAN):
+            raise InvalidInputError(f"unknown trust class {self.trust!r}")
+        classes = tuple(
+            _checked_class(size_class, self.vertex_count) for size_class in self.classes
+        )
         if not classes:
             raise InvalidInputError("a scan set needs at least one scan")
         dims = sorted({size_class.charts.shape[2] for size_class in classes})
         if len(dims) != 1:
             raise InvalidInputError(f"scans disagree on dimension: {dims}")
-        for size_class in classes:
-            members = size_class.members
-            outside = members[(members < 0) | (members >= vertex_count)]
-            if outside.size:
-                raise InvalidInputError(f"scan vertex {outside[0]} out of range")
-            ordered = np.sort(members, axis=1)
-            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-            if repeats.any():
-                raise InvalidInputError(
-                    f"scan {size_class.positions[repeats.argmax()]}: "
-                    "members must be distinct")
-            faulty = ~np.isfinite(size_class.charts).all(axis=(1, 2))
-            if faulty.any():
-                raise InvalidInputError(
-                    f"scan {size_class.positions[faulty.argmax()]}: "
-                    "chart contains non-finite entries")
-            for array in size_class:
-                array.flags.writeable = False
-        object.__setattr__(self, "vertex_count", vertex_count)
+        positions = np.sort(np.concatenate([c.positions for c in classes]))
+        if not np.array_equal(positions, np.arange(positions.size)):
+            raise InvalidInputError(
+                f"the positions of {positions.size} scans must be 0 to "
+                f"{positions.size - 1}, each once"
+            )
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "trust", trust)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
         return sum(len(size_class.positions) for size_class in self.classes)
@@ -152,16 +88,6 @@ class ScanSet:
     @property
     def dim(self) -> int:
         return self.classes[0].charts.shape[2]
-
-    @cached_property
-    def scans(self) -> tuple[Scan, ...]:
-        """The scans in their order."""
-        scans = [None] * len(self)
-        for positions, members, charts in self.classes:
-            for position, row, chart in zip(positions.tolist(), members.tolist(),
-                                            charts):
-                scans[position] = Scan(tuple(row), chart)
-        return tuple(scans)
 
     def hypergraph(self) -> Hypergraph:
         """The hypergraph whose hyperedges are the scanned vertex sets."""
@@ -171,8 +97,39 @@ class ScanSet:
                 rows[position] = row
         return Hypergraph.from_hyperedges(self.vertex_count, rows)
 
-    def covered_vertices(self) -> set[int]:
-        return set(_covered(self).tolist())
+
+def _checked_class(size_class: SizeClass, vertex_count: int) -> SizeClass:
+    """``size_class`` as read-only arrays, once every scan in it is valid."""
+    positions, members, charts = size_class
+    positions, members = np.asarray(positions), np.asarray(members)
+    charts = np.asarray(charts, dtype=float)
+    if positions.dtype.kind not in "iu" or members.dtype.kind not in "iu":
+        raise InvalidInputError("scan positions and members must be integers")
+    if (members.ndim != 2 or charts.ndim != 3
+            or positions.shape != members.shape[:1]
+            or charts.shape[:2] != members.shape):
+        raise InvalidInputError(
+            f"a size class of positions {positions.shape}, members "
+            f"{members.shape} and charts {charts.shape} does not agree"
+        )
+    if members.shape[1] == 0:
+        raise InvalidInputError("a scan must cover at least one vertex")
+    outside = members[(members < 0) | (members >= vertex_count)]
+    if outside.size:
+        raise InvalidInputError(f"scan vertex {outside[0]} out of range")
+    ordered = np.sort(members, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise InvalidInputError(
+            f"scan {positions[repeats.argmax()]}: members must be distinct")
+    faulty = ~np.isfinite(charts).all(axis=(1, 2))
+    if faulty.any():
+        raise InvalidInputError(
+            f"scan {positions[faulty.argmax()]}: chart contains non-finite entries")
+    size_class = SizeClass(positions, members, charts)
+    for array in size_class:
+        array.flags.writeable = False
+    return size_class
 
 
 def _covered(scan_set: ScanSet) -> np.ndarray:
@@ -458,15 +415,13 @@ def synthetic_scan_set(
     euclidean trust applies a random orthogonal map plus shift. ``noise``
     adds centered gaussian error of that size relative to the chart diameter.
     """
-    if trust not in (AFFINE, EUCLIDEAN):
-        raise InvalidInputError(f"unknown trust class {trust!r}")
     theta = as_hypergraph(framework.structure)
     d = framework.dim
     rng = np.random.default_rng(seed)
-    scans = []
-    for h in theta.hyperedges:
-        members = tuple(sorted(h))
-        chart = framework.coordinates[list(members)].copy()
+    hyperedges = [sorted(h) for h in theta.hyperedges]
+    charts = []
+    for members in hyperedges:
+        chart = framework.coordinates[members]
         if trust == AFFINE:
             while True:
                 a = rng.standard_normal((d, d))
@@ -479,5 +434,13 @@ def synthetic_scan_set(
             chart = chart + noise * max(_diameter(chart), 1e-300) * rng.standard_normal(
                 chart.shape
             )
-        scans.append(Scan(members, chart))
-    return ScanSet(framework.vertex_count, tuple(scans), trust)
+        charts.append(chart)
+    classes = [
+        SizeClass(
+            np.array(positions),
+            np.array([hyperedges[i] for i in positions]),
+            np.stack([charts[i] for i in positions]),
+        )
+        for positions in _positions_by_key(map(len, hyperedges)).values()
+    ]
+    return ScanSet(framework.vertex_count, tuple(classes), trust)

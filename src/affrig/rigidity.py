@@ -409,7 +409,6 @@ def generic_affine_rigidity_test(
     trials: int = 3,
     seed: int | None = None,
     prime: int = DEFAULT_PRIME,
-    randomize_prime: bool = False,
 ) -> RigidityVerdict:
     """Decide generic affine rigidity by exact rank tests over a prime field.
 
@@ -443,11 +442,9 @@ def generic_affine_rigidity_test(
     _require_vertices(v, d)
     rng = random.Random(seed)
     columns = _field_columns(theta)
+    q = prime
     best: int | None = None
-    moduli: list[int] = []
     for _ in range(trials):
-        q = numkernel.draw_modulus(rng) if randomize_prime else prime
-        moduli.append(q)
         while True:
             coords = [[rng.randrange(q) for _ in range(d)] for _ in range(v)]
             span_lift = [[1] * v] + [[coords[u][axis] for u in range(v)] for axis in range(d)]
@@ -471,15 +468,11 @@ def generic_affine_rigidity_test(
         if best == d + 1:
             break
     assert best is not None
-    q_text = (
-        f"q in {sorted(set(moduli))}" if randomize_prime else f"q = {moduli[0]}"
-    )
     if best == d + 1:
-        certificate = f"affinity corank {best} over F_q ({q_text}); exact witness"
+        certificate = f"affinity corank {best} over F_q (q = {q}); exact witness"
         return RigidityVerdict(RIGID, best, certificate, one_sided=False)
     certificate = (
-        f"minimum affinity corank {best} over F_q ({q_text}) in "
-        f"{len(moduli)} trials"
+        f"minimum affinity corank {best} over F_q (q = {q}) in {trials} trials"
     )
     return RigidityVerdict(FLEXIBLE, best, certificate, one_sided=True)
 

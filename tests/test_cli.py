@@ -29,6 +29,7 @@ from affrig.hypergraph import (
 )
 from affrig.registration import best_fit_euclidean, synthetic_scan_set
 from affrig.rigidity import Framework, affinity_residuals, strong_affinity_matrix
+from test_registration import scan_set_of
 
 
 def write_structure(tmp_path, name, structure):
@@ -309,10 +310,8 @@ class TestRegister:
 
     def test_single_full_scan(self, tmp_path):
         rng = np.random.default_rng(62)
-        from affrig.registration import Scan, ScanSet
-
         chart = rng.standard_normal((5, 2))
-        scans = ScanSet(5, (Scan(tuple(range(5)), chart),), "euclidean")
+        scans = scan_set_of(5, [(range(5), chart)], "euclidean")
         src = write_scans(tmp_path, "scans.json", scans)
         out = str(tmp_path / "out.json")
         report = str(tmp_path / "report.json")

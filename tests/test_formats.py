@@ -21,6 +21,7 @@ from affrig.formats import (
     write_document,
 )
 from affrig.registration import synthetic_scan_set
+from test_registration import scans_of
 
 AWKWARD_FLOATS = [0.1, 1.0 / 3.0, 1e-300, 12345.678901234567, -7.25e18]
 
@@ -51,9 +52,10 @@ class TestRoundTrips:
         recovered = scan_set_from_document(doc)
         assert recovered.vertex_count == 6
         assert recovered.trust == "euclidean"
-        for mine, theirs in zip(scans.scans, recovered.scans):
-            assert mine.members == theirs.members
-            assert np.array_equal(mine.coordinates, theirs.coordinates)
+        for (members, chart), (their_members, their_chart) in zip(
+                scans_of(scans), scans_of(recovered), strict=True):
+            assert members == their_members
+            assert np.array_equal(chart, their_chart)
 
     def test_report(self):
         doc = report_document(

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from affrig import formats, numkernel, registration, rigidity  # noqa: E402
-from affrig.errors import InvalidInputError, NumericalRankError  # noqa: E402
+from affrig.errors import NumericalRankError  # noqa: E402
 from affrig.families import (  # noqa: E402
     complete_graph,
     complete_k_hypergraph,
@@ -31,6 +31,7 @@ from affrig.hypergraph import (  # noqa: E402
     zha_zhang_condition,
 )
 from test_numkernel import fraction_rank  # noqa: E402
+from test_registration import scan_set_of, scans_of  # noqa: E402
 from test_rigidity import in_hull_lp, looped_stress  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
@@ -150,7 +151,7 @@ def integer_frameworks(draw):
 class TestSparseFieldRank:
     @PROPERTY_SETTINGS
     @given(integer_matrices(), st.sampled_from([numkernel.DEFAULT_PRIME,
-                                                numkernel.PRIME_POOL_60BIT[0]]))
+                                                576460752303423619]))
     def test_forward_rank_matches_dense_and_rational(self, rows, q):
         m = numkernel.PrimeFieldMatrix.from_integers(rows, q)
         _, pivots = numkernel._reduced_echelon(m)
@@ -221,7 +222,7 @@ def lift_stacks(draw):
     random residues; a lift may repeat one point or make all points equal.
     k runs from 1, so k <= d+1 occurs.
     """
-    q = draw(st.sampled_from([numkernel.DEFAULT_PRIME, numkernel.PRIME_POOL_60BIT[3]]))
+    q = draw(st.sampled_from([numkernel.DEFAULT_PRIME, 576460752303423737]))
     d = draw(st.integers(1, 3))
     k = draw(st.integers(1, d + 4))
     stack = []
@@ -611,13 +612,11 @@ class TestRegistrationChartInvariance:
         perm = data.draw(st.permutations(range(v)))
         rng = np.random.default_rng(seed + 1)
         moved = []
-        for scan in scans.scans:
+        for members, chart in scans_of(scans):
             linear, shift = chart_map(rng, d, trust)
-            moved.append(registration.Scan(
-                tuple(perm[u] for u in scan.members),
-                scan.coordinates @ linear.T + shift))
+            moved.append(([perm[u] for u in members], chart @ linear.T + shift))
         original = register(scans)
-        result = register(registration.ScanSet(v, tuple(moved), trust))
+        result = register(scan_set_of(v, moved, trust))
         assert max(result.diagnostics["scan_residuals"]) <= 1e-8
         fit = (registration.best_fit_affine if trust == registration.AFFINE
                else registration.best_fit_euclidean)
@@ -802,9 +801,9 @@ def per_scan_scan_set(doc):
     """Oracle: the per-scan parser that the size-class parser replaced.
 
     Its checks and their order are the old ``scan_set_from_document``'s;
-    the faults that ``Scan`` rejects (no members, a repeated member) are
-    reported at the scan's hyperedge, and each coordinate must be a finite
-    double, checked right after its point's shape.
+    a scan with no members or a repeated member is reported at its
+    hyperedge, and each coordinate must be a finite double, checked right
+    after its point's shape.
     """
     dim, trust = doc["dim"], doc["trust"]
     scans = []
@@ -828,12 +827,14 @@ def per_scan_scan_set(doc):
             raise formats.FormatError(
                 f"{len(members)} members but {points.shape[0]} points", path=path
             )
-        try:
-            scans.append(registration.Scan(tuple(members), points))
-        except InvalidInputError as error:
-            raise formats.FormatError(str(error), path=f"{path}.hyperedge") from None
-        top = max(top, max(members, default=-1))
-    return registration.ScanSet(top + 1, tuple(scans), trust)
+        if not members or len(set(members)) != len(members):
+            raise formats.FormatError(
+                "hyperedge must list at least one vertex, each once",
+                path=f"{path}.hyperedge",
+            )
+        scans.append((members, points))
+        top = max(top, max(members))
+    return scan_set_of(top + 1, scans, trust)
 
 
 def per_point_list(rows, path, dim):
@@ -948,16 +949,17 @@ class TestScanParserAgainstPerScan:
         parsed = formats.scan_set_from_document(doc)
         assert parsed.vertex_count == expected.vertex_count
         assert (parsed.dim, parsed.trust) == (expected.dim, expected.trust)
-        assert len(parsed.scans) == len(expected.scans)
-        for mine, theirs in zip(parsed.scans, expected.scans):
-            assert mine.members == theirs.members
-            assert np.array_equal(mine.coordinates, theirs.coordinates)
+        expected_scans = scans_of(expected)
+        for (members, chart), (their_members, their_chart) in zip(
+                scans_of(parsed), expected_scans, strict=True):
+            assert members == their_members
+            assert np.array_equal(chart, their_chart)
         for positions, members, charts in parsed.classes:
             assert not (members.flags.writeable or charts.flags.writeable)
             assert members.dtype == np.int64 and charts.dtype == np.float64
             for position, row, chart in zip(positions, members, charts):
-                assert tuple(row.tolist()) == expected.scans[position].members
-                assert np.array_equal(chart, expected.scans[position].coordinates)
+                assert tuple(row.tolist()) == expected_scans[position][0]
+                assert np.array_equal(chart, expected_scans[position][1])
         assert formats.document_from_scan_set(parsed) == formats.document_from_scan_set(
             expected
         )

@@ -19,16 +19,17 @@ from affrig.families import (
     pentagon_hypergraph,
     trilateration_graph,
 )
-from affrig.hypergraph import Graph, Hypergraph, neighborhood_hypergraph
+from affrig.formats import document_from_scan_set, scan_set_from_document
+from affrig.hypergraph import Graph, Hypergraph, as_hypergraph, neighborhood_hypergraph
 from affrig.numkernel import least_squares, numerical_kernel, psd_cholesky
 from affrig.registration import (
     AFFINE,
     EUCLIDEAN,
     Registration,
-    Scan,
     ScanSet,
     SizeClass,
     _configuration_from_kernel,
+    _covered,
     _diameter,
     _scan_residuals,
     _symmetric_from_packed,
@@ -65,69 +66,115 @@ def chart_affinity(scans, rel_tol=DEFAULT_REL_TOL):
     return _affinity_from_blocks(scans.vertex_count, scans.classes, rel_tol)
 
 
+def scan_set_of(vertex_count, scans, trust=AFFINE):
+    """The scan set of (members, chart) pairs, numbered in their order."""
+    by_size = {}
+    for position, (members, _) in enumerate(scans):
+        by_size.setdefault(len(members), []).append(position)
+    return ScanSet(vertex_count, tuple(
+        SizeClass(np.array(positions),
+                  np.array([scans[i][0] for i in positions]),
+                  np.array([scans[i][1] for i in positions], dtype=float))
+        for positions in by_size.values()
+    ), trust)
+
+
+def scans_of(scan_set):
+    """The scans of ``scan_set`` in their order, as (members, chart) pairs."""
+    scans = [None] * len(scan_set)
+    for positions, members, charts in scan_set.classes:
+        for position, row, chart in zip(positions.tolist(), members.tolist(), charts):
+            scans[position] = (tuple(row), chart)
+    return scans
+
+
 def rigid_scan_source(seed, vertex_count=7):
     """A generic affinely rigid test bed: all 4-subsets of a point cloud."""
     theta = complete_k_hypergraph(vertex_count, 4)
     return generic_framework(theta, 2, seed=seed)
 
 
+def size_class(positions, members, charts):
+    return SizeClass(np.array(positions, dtype=int),
+                     np.array(members, dtype=int),
+                     np.array(charts, dtype=float))
+
+
+GOOD_CLASS = size_class([0], [[0, 1, 2]], np.zeros((1, 3, 2)))
+NAN_CHART, INF_CHART, NEG_INF_CHART = np.zeros((3, 2, 3, 2))
+NAN_CHART[1, 2, 0] = np.nan
+INF_CHART[1, 1, 1] = np.inf
+NEG_INF_CHART[0, 0, 1] = -np.inf  # the scan at position 1
+
+
 class TestScanTypes:
-    def test_scan_validation(self):
-        with pytest.raises(InvalidInputError):
-            Scan((), np.zeros((0, 2)))
-        with pytest.raises(InvalidInputError):
-            Scan((0, 0), np.zeros((2, 2)))
-        with pytest.raises(InvalidInputError):
-            Scan((0, 1, 2), np.zeros((2, 2)))
-        with pytest.raises(InvalidInputError):
-            Scan((0, 1), np.array([[0.0, 0.0], [np.nan, 1.0]]))
-
-    def test_scan_set_validation(self):
-        scan = Scan((0, 1), np.zeros((2, 2)))
-        with pytest.raises(InvalidInputError):
-            ScanSet(2, (scan,), "metric")
-        with pytest.raises(InvalidInputError):
-            ScanSet(2, (), "affine")
-        with pytest.raises(InvalidInputError):
-            ScanSet(1, (scan,), "affine")
-        mixed = (scan, Scan((0, 1), np.zeros((2, 3))))
-        with pytest.raises(InvalidInputError):
-            ScanSet(2, mixed, "affine")
-
-    def test_size_classes_reject_a_repeated_member(self):
-        good = SizeClass(np.array([0]), np.array([[0, 1, 2]]), np.zeros((1, 3, 2)))
-        repeated = SizeClass(np.array([1]), np.array([[0, 0, 1]]), np.zeros((1, 3, 2)))
-        with pytest.raises(InvalidInputError, match="scan 1: .*distinct"):
-            ScanSet.from_classes(3, [good, repeated], "affine")
-
-    def test_size_classes_reject_a_non_finite_chart(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            charts = np.zeros((2, 3, 2))
-            charts[1, 2, 0] = bad
-            size_class = SizeClass(np.array([0, 1]), np.array([[0, 1, 2], [1, 2, 3]]),
-                                   charts)
-            with pytest.raises(InvalidInputError, match="scan 1: .*non-finite"):
-                ScanSet.from_classes(4, [size_class], "affine")
+    @pytest.mark.parametrize("vertex_count, classes, trust, message", [
+        (3, [GOOD_CLASS], "metric", "unknown trust class"),
+        (0, [GOOD_CLASS], AFFINE, "vertex_count must be positive"),
+        (3, [], AFFINE, "at least one scan"),
+        (2, [GOOD_CLASS], AFFINE, "scan vertex 2 out of range"),
+        (3, [size_class([0], [[0, -1, 2]], np.zeros((1, 3, 2)))], AFFINE,
+         "scan vertex -1 out of range"),
+        (3, [size_class([0], [[]], np.zeros((1, 0, 2)))], AFFINE,
+         "at least one vertex"),
+        (3, [GOOD_CLASS, size_class([1], [[0, 0, 1]], np.zeros((1, 3, 2)))], AFFINE,
+         "scan 1: members must be distinct"),
+        (4, [size_class([0, 1], [[0, 1, 2], [1, 2, 3]], NAN_CHART)], AFFINE,
+         "scan 1: chart contains non-finite"),
+        (4, [size_class([0, 1], [[0, 1, 2], [1, 2, 3]], INF_CHART)], AFFINE,
+         "scan 1: chart contains non-finite"),
+        (4, [size_class([1, 0], [[0, 1, 2], [1, 2, 3]], NEG_INF_CHART)], AFFINE,
+         "scan 1: chart contains non-finite"),
+        (3, [size_class([0], [[0, 1, 2]], np.zeros((1, 2, 2)))], AFFINE,
+         "does not agree"),
+        (3, [size_class([0, 1], [[0, 1, 2]], np.zeros((1, 3, 2)))], AFFINE,
+         "does not agree"),
+        (3, [SizeClass(np.array([0]), np.array([[0, 1, 2]]), np.zeros((3, 2)))],
+         AFFINE, "does not agree"),
+        (3, [SizeClass(np.array([0]), np.array([[0.0, 1.0, 2.0]]),
+                       np.zeros((1, 3, 2)))], AFFINE, "must be integers"),
+        (3, [GOOD_CLASS, size_class([1], [[0, 1]], np.zeros((1, 2, 3)))], AFFINE,
+         "disagree on dimension"),
+        (3, [size_class([5, 5], [[0, 1], [1, 2]], np.zeros((2, 2, 2)))], AFFINE,
+         "positions of 2 scans must be 0 to 1"),
+        (3, [GOOD_CLASS, size_class([2], [[0, 1]], np.zeros((1, 2, 2)))], AFFINE,
+         "positions of 2 scans must be 0 to 1"),
+        (3, [GOOD_CLASS, size_class([0], [[0, 1]], np.zeros((1, 2, 2)))], AFFINE,
+         "positions of 2 scans must be 0 to 1"),
+    ], ids=[
+        "trust", "no-vertices", "no-scans", "label-too-large", "negative-label",
+        "zero-members", "repeated-member", "nan-chart", "inf-chart", "minus-inf-chart",
+        "fewer-points-than-members", "more-positions-than-scans", "flat-charts",
+        "float-members", "mixed-dimensions", "repeated-position", "position-gap",
+        "position-in-two-classes",
+    ])
+    def test_constructor_rejects(self, vertex_count, classes, trust, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ScanSet(vertex_count, tuple(classes), trust)
 
     def test_scan_set_accessors(self):
         framework = rigid_scan_source(seed=5)
         scans = synthetic_scan_set(framework, seed=0)
         assert scans.dim == 2
-        assert scans.covered_vertices() == set(range(7))
+        assert len(scans) == 35
         assert scans.hypergraph().vertex_count == 7
         with pytest.raises(AttributeError):
             scans.vertex_count = 3
+        for positions, members, charts in scans.classes:
+            for array in (positions, members, charts):
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
-    def test_hypergraph_in_scan_order_without_building_scans(self):
+    def test_hypergraph_in_scan_order(self):
         # Sizes 3, 2, 4, 2, 3 interleave the size classes.
-        scans = [Scan(members, np.arange(2.0 * len(members)).reshape(-1, 2))
+        scans = [(members, np.arange(2.0 * len(members)).reshape(-1, 2))
                  for members in [(0, 1, 2), (2, 3), (3, 4, 5, 0), (4, 5), (1, 2, 3)]]
-        scan_set = ScanSet(6, scans, "affine")
+        scan_set = scan_set_of(6, scans)
+        assert [len(c.positions) for c in scan_set.classes] == [2, 2, 1]
         theta = scan_set.hypergraph()
-        assert "scans" not in scan_set.__dict__
-        assert theta == Hypergraph.from_hyperedges(6, [s.members for s in scans])
+        assert theta == Hypergraph.from_hyperedges(6, [m for m, _ in scans])
         assert theta == Hypergraph.from_hyperedges(
-            6, [s.members for s in scan_set.scans])
+            6, [m for m, _ in scans_of(scan_set)])
 
     def test_registration_config_is_frozen(self):
         reg = Registration(np.zeros((3, 2)), "affine", {})
@@ -280,22 +327,22 @@ class TestAffineRegister:
     def test_single_full_scan(self):
         rng = np.random.default_rng(44)
         chart = rng.standard_normal((6, 2))
-        scans = ScanSet(6, (Scan(tuple(range(6)), chart),), "affine")
+        scans = scan_set_of(6, [(range(6), chart)])
         result = affine_register(scans)
         _, _, error = best_fit_affine(chart, result.config)
         assert error <= 1e-10 * diameter(result.config)
 
     def test_uncovered_vertex(self):
-        scan = Scan((0, 1, 2, 3), np.random.default_rng(0).standard_normal((4, 2)))
-        scans = ScanSet(5, (scan,), "affine")
+        chart = np.random.default_rng(0).standard_normal((4, 2))
+        scans = scan_set_of(5, [((0, 1, 2, 3), chart)])
         with pytest.raises(InvalidInputError, match=r"1 of 5 .* the first \[4\]"):
             affine_register(scans)
 
     def test_far_label_gives_a_short_message(self):
         # The check and its message scale with the scans, not the largest label.
-        scan = Scan((0, 1, 2, 3_000_000), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        scans = ScanSet(3_000_001, (scan,), "affine")
-        assert scans.covered_vertices() == {0, 1, 2, 3_000_000}
+        chart = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        scans = scan_set_of(3_000_001, [((0, 1, 2, 3_000_000), chart)])
+        assert _covered(scans).tolist() == [0, 1, 2, 3_000_000]
         with pytest.raises(InvalidInputError) as info:
             affine_register(scans)
         assert str(info.value) == (
@@ -304,7 +351,7 @@ class TestAffineRegister:
 
     def test_fewer_than_d_plus_one_vertices(self):
         # The guard shared with the rigidity tests, same type and message.
-        scans = ScanSet(2, (Scan((0, 1), [[0.0, 0.0], [1.0, 0.0]]),), "affine")
+        scans = scan_set_of(2, [((0, 1), [[0.0, 0.0], [1.0, 0.0]])])
         with pytest.raises(UnsupportedInstanceError, match="need at least d"):
             affine_register(scans)
 
@@ -382,19 +429,16 @@ def looped_affinity(vertex_count, blocks, rel_tol=DEFAULT_REL_TOL):
 def looped_registration(scans):
     """Oracle: per-block kernels, then per-pair lengths and directions."""
     v, d = scans.vertex_count, scans.dim
-    matrix, _ = looped_affinity(
-        v, [(scan.members, scan.coordinates) for scan in scans.scans]
-    )
+    matrix, _ = looped_affinity(v, scans_of(scans))
     config = _configuration_from_kernel(numerical_kernel(matrix).basis, d)
     if scans.trust == AFFINE:
         return config
     lengths = []
-    for scan in scans.scans:
-        c = scan.coordinates
-        for a in range(len(scan.members)):
-            for b in range(a + 1, len(scan.members)):
+    for members, c in scans_of(scans):
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
                 squared = float(np.sum((c[a] - c[b]) ** 2))
-                lengths.append((scan.members[a], scan.members[b], squared))
+                lengths.append((members[a], members[b], squared))
     directions = np.array([config[u] - config[w] for u, w, _ in lengths])
     packed = least_squares(
         _direction_monomials(directions), [squared for _, _, squared in lengths]
@@ -416,7 +460,7 @@ class TestStackedAgainstLoops:
             ([0, 8, 3, 1], points[[0, 8, 3, 1]]),
             ([7], points[[7]]),
         ]
-        classes = ScanSet(9, [Scan(*block) for block in blocks], AFFINE).classes
+        classes = scan_set_of(9, blocks).classes
         built = _affinity_from_blocks(9, classes, DEFAULT_REL_TOL)
         matrix, provenance = looped_affinity(9, blocks)
         assert np.array_equal(built.matrix, matrix)
@@ -466,8 +510,8 @@ class TestStackedAgainstLoops:
             result.config.shape
         )
         residuals = [
-            fit(scan.coordinates, moved[list(scan.members)])[2] / _diameter(moved)
-            for scan in scans.scans
+            fit(chart, moved[list(members)])[2] / _diameter(moved)
+            for members, chart in scans_of(scans)
         ]
         np.testing.assert_allclose(
             _scan_residuals(scans, moved, trust), residuals, rtol=1e-10, atol=0
@@ -641,7 +685,7 @@ class TestEuclideanRegister:
     def test_single_full_scan_is_identity_pipeline(self):
         rng = np.random.default_rng(133)
         chart = rng.standard_normal((5, 2))
-        scans = ScanSet(5, (Scan(tuple(range(5)), chart),), "euclidean")
+        scans = scan_set_of(5, [(range(5), chart)], EUCLIDEAN)
         result = euclidean_register(scans)
         assert np.allclose(
             distance_matrix(result.config),
@@ -675,32 +719,91 @@ class TestEuclideanRegister:
         assert result.diagnostics["length_error"] <= 1e-8
 
 
+def reference_scans(framework, trust, seed, noise):
+    """Oracle: per hyperedge in order, a random map of the trust class, a
+    shift and noise, each drawn from one generator."""
+    rng = np.random.default_rng(seed)
+    d = framework.dim
+    scans = []
+    for h in as_hypergraph(framework.structure).hyperedges:
+        members = tuple(sorted(h))
+        if trust == AFFINE:
+            linear = rng.standard_normal((d, d))
+            while abs(np.linalg.det(linear)) <= 0.1:
+                linear = rng.standard_normal((d, d))
+        else:
+            linear, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        chart = framework.coordinates[list(members)] @ linear.T + rng.standard_normal(d)
+        if noise > 0:
+            spread = np.linalg.norm(chart.max(axis=0) - chart.min(axis=0))
+            chart = chart + noise * max(spread, 1e-300) * rng.standard_normal(chart.shape)
+        scans.append((members, chart))
+    return scans
+
+
+# Sizes 4, 3, 5, 3, 4, 2 interleave the size classes.
+MIXED_SIZES = Hypergraph.from_hyperedges(7, [
+    (0, 1, 2, 3), (3, 4, 5), (5, 6, 0, 1, 2), (1, 4, 6), (2, 3, 4, 5), (6, 2),
+])
+
+
 class TestSyntheticScans:
+    @pytest.mark.parametrize("trust", [AFFINE, EUCLIDEAN])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_reference_loop(self, trust, noise, d):
+        framework = generic_framework(MIXED_SIZES, d, seed=10 * d)
+        scans = synthetic_scan_set(framework, trust=trust, seed=d + 1, noise=noise)
+        assert (scans.vertex_count, scans.dim, scans.trust) == (7, d, trust)
+        assert [c.members.shape[1] for c in scans.classes] == [4, 3, 5, 2]
+        expected = reference_scans(framework, trust, d + 1, noise)
+        for (members, chart), (ref_members, ref_chart) in zip(
+                scans_of(scans), expected, strict=True):
+            assert members == ref_members
+            assert chart.tobytes() == ref_chart.tobytes()
+
+    def test_document_round_trip_ignores_class_order(self):
+        framework = generic_framework(MIXED_SIZES, 2, seed=5)
+        scans = synthetic_scan_set(framework, trust=EUCLIDEAN, seed=6, noise=1e-3)
+        shuffled = ScanSet(scans.vertex_count, scans.classes[::-1], scans.trust)
+        doc = document_from_scan_set(shuffled)
+        assert doc == document_from_scan_set(scans)
+        recovered = scan_set_from_document(doc)
+        assert (recovered.vertex_count, recovered.trust) == (7, EUCLIDEAN)
+        for (members, chart), (ref_members, ref_chart) in zip(
+                scans_of(recovered), scans_of(scans), strict=True):
+            assert members == ref_members
+            assert chart.tobytes() == ref_chart.tobytes()
+        for got, want in zip(recovered.classes, scans.classes, strict=True):
+            for got_array, want_array in zip(got, want):
+                assert np.array_equal(got_array, want_array)
+
     def test_deterministic(self):
         framework = rigid_scan_source(seed=161)
         first = synthetic_scan_set(framework, seed=7)
         second = synthetic_scan_set(framework, seed=7)
-        for a, b in zip(first.scans, second.scans):
-            assert a.members == b.members
-            assert np.array_equal(a.coordinates, b.coordinates)
+        for (members_a, chart_a), (members_b, chart_b) in zip(
+                scans_of(first), scans_of(second), strict=True):
+            assert members_a == members_b
+            assert np.array_equal(chart_a, chart_b)
 
     def test_euclidean_charts_preserve_lengths(self):
         framework = rigid_scan_source(seed=171)
         scans = synthetic_scan_set(framework, trust="euclidean", seed=172)
-        for scan in scans.scans:
-            truth = framework.coordinates[list(scan.members)]
+        for members, chart in scans_of(scans):
+            truth = framework.coordinates[list(members)]
             assert np.allclose(
-                distance_matrix(scan.coordinates), distance_matrix(truth), atol=1e-10
+                distance_matrix(chart), distance_matrix(truth), atol=1e-10
             )
 
     def test_affine_charts_change_lengths(self):
         framework = rigid_scan_source(seed=181)
         scans = synthetic_scan_set(framework, trust="affine", seed=182)
         distorted = 0
-        for scan in scans.scans:
-            truth = framework.coordinates[list(scan.members)]
+        for members, chart in scans_of(scans):
+            truth = framework.coordinates[list(members)]
             if not np.allclose(
-                distance_matrix(scan.coordinates), distance_matrix(truth), rtol=1e-3
+                distance_matrix(chart), distance_matrix(truth), rtol=1e-3
             ):
                 distorted += 1
         assert distorted > 0

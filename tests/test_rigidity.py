@@ -494,13 +494,6 @@ class TestGenericTest:
         assert verdict.verdict == FLEXIBLE
         assert verdict.corank == 4
 
-    def test_randomized_prime_pool(self):
-        verdict = generic_affine_rigidity_test(
-            complete_k_hypergraph(6, 4), 2, trials=2, seed=16, randomize_prime=True
-        )
-        assert verdict.verdict == RIGID
-        assert "q in" in verdict.certificate
-
     def test_deterministic_for_seed(self):
         a = generic_affine_rigidity_test(pentagon_hypergraph(), 2, seed=17)
         b = generic_affine_rigidity_test(pentagon_hypergraph(), 2, seed=17)
